@@ -31,7 +31,6 @@ from .fields import (
     parse_polynomial_table,
 )
 from .geometry import (
-    GraphChart,
     SurfaceChart,
     build_chart,
     graph_solve,

@@ -31,7 +31,7 @@ EXIT_NON_CONVERGENCE = 3
 class Manifest:
     """Run record: config echo, per-check statuses, and artifact list."""
 
-    def __init__(self, command, cfg, out_dir, seed=None, serial=True):
+    def __init__(self, command, cfg, out_dir, seed=None):
         os.makedirs(out_dir, exist_ok=True)
         self.data = {
             "command": command,
@@ -39,7 +39,6 @@ class Manifest:
             "config_source": cfg.source,
             "config": cfg.echo(),
             "seed": seed,
-            "serial": serial,
             "started_unix": time.time(),
             "checks": [],
             "artifacts": [],
@@ -313,6 +312,11 @@ def cmd_decay(cfg, manifest, args):
                for label, rep in reports}
     with open(manifest.artifact("decay_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
+    unconverged = [f"{label} at lambda = {lam:g}" for label, rep in reports
+                   for lam, ok in zip(rep.lambdas, rep.converged) if not ok]
+    if unconverged:
+        raise NonConvergenceError("quadrature agreement check failed for "
+                                  + ", ".join(unconverged))
 
 
 def cmd_selftest(cfg, manifest, args):
@@ -349,8 +353,6 @@ def build_parser():
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--serial", action="store_true",
-                        help="force deterministic serial reductions (default)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--lambda", dest="lam", default=None,
                         help="frequency list, comma or space separated")
@@ -374,8 +376,7 @@ def main(argv=None):
 
     out_dir = resolve_out_dir(args.out)
     try:
-        manifest = Manifest(args.command, cfg, out_dir, seed=args.seed,
-                            serial=True)
+        manifest = Manifest(args.command, cfg, out_dir, seed=args.seed)
         COMMANDS[args.command](cfg, manifest, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -228,6 +228,13 @@ class FDField(SmoothField):
         return self._stencil(rest, up, h) - self._stencil(rest, dn, h)
 
 
+def unit_index(dim, j):
+    """The multi-index of the first partial along axis j."""
+    e = [0] * dim
+    e[j] = 1
+    return tuple(e)
+
+
 def multi_indices(dim, max_total):
     """All multi-indices alpha in Z_{>=0}^dim with |alpha| <= max_total."""
     def rec(prefix, remaining, slots):
@@ -244,12 +251,6 @@ def multi_indices(dim, max_total):
 # Built-in phase/defining-function pairs
 # ---------------------------------------------------------------------------
 
-def _unit(dim, j):
-    e = [0] * dim
-    e[j] = 1
-    return tuple(e)
-
-
 def example_rho(d, b1):
     """x_1 x_1' + ... + x_{d-1} x_{d-1}' + sum of all coordinates."""
     dim = 2 * d
@@ -260,7 +261,7 @@ def example_rho(d, b1):
         expo[d + k] = 1
         terms[tuple(expo)] = 1.0
     for j in range(dim):
-        terms[_unit(dim, j)] = terms.get(_unit(dim, j), 0.0) + 1.0
+        terms[unit_index(dim, j)] = terms.get(unit_index(dim, j), 0.0) + 1.0
     return PolynomialField(dim, terms, half_widths=b1)
 
 
@@ -310,12 +311,12 @@ def example_phi_odd(d, b1):
 
 def flat_rho(dim, b1):
     """rho = x_dim (last coordinate); M is the flat hyperplane."""
-    return PolynomialField(dim, {_unit(dim, dim - 1): 1.0}, half_widths=b1)
+    return PolynomialField(dim, {unit_index(dim, dim - 1): 1.0}, half_widths=b1)
 
 
 def tilted_rho(dim, b1):
     """rho = sum of all coordinates; M is a tilted hyperplane."""
-    return PolynomialField(dim, {_unit(dim, j): 1.0 for j in range(dim)}, half_widths=b1)
+    return PolynomialField(dim, {unit_index(dim, j): 1.0 for j in range(dim)}, half_widths=b1)
 
 
 def zero_field(dim, b1):

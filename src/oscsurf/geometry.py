@@ -2,10 +2,11 @@
 
 Because every first partial of rho is bounded away from zero, M meets each
 line parallel to a coordinate axis at most once, so M is globally a graph
-x_{j0} = Psi(slice) over any coordinate slice.  Surface integrals are tensor
-Gauss-Legendre sums over the slice with the graph density
-(1 + |grad Psi|^2)^(1/2); slice points whose axis segment does not cross M
-contribute zero.
+x_{j0} = Psi(slice) over any coordinate slice.  A surface integral is a
+weighted sum over slice points (a tensor Gauss-Legendre grid here, Sobol
+blocks in the kernel module), lifted to M by chart_on_surface, which folds in
+the graph density (1 + |grad Psi|^2)^(1/2); slice points whose axis segment
+does not cross M contribute zero.
 """
 
 from __future__ import annotations
@@ -15,15 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, NoRootError
+from .fields import unit_index
 
 DEFAULT_TOL_SCALE = 1e-12
 _NEWTON_MAX = 80
-
-
-def _axis_alpha(dim, j):
-    alpha = [0] * dim
-    alpha[j] = 1
-    return tuple(alpha)
 
 
 def _assemble(slice_pts, j0, vals, dim):
@@ -50,7 +46,7 @@ def graph_solve_grid(inst, j0, slice_pts, tol=None):
         tol = DEFAULT_TOL_SCALE * (1.0 + abs(inst.b1))
     slice_pts = np.asarray(slice_pts, dtype=float)
     b = inst.b1
-    alpha1 = _axis_alpha(dim, j0)
+    alpha1 = unit_index(dim, j0)
 
     lo = np.full(slice_pts.shape[:-1], -b)
     hi = np.full(slice_pts.shape[:-1], b)
@@ -88,35 +84,8 @@ def graph_solve(inst, j0, slice_point, tol=None):
 
 def grad_psi(inst, j0, points_on_m):
     """Gradient of the graph function at points of M: -d_j rho / d_{j0} rho."""
-    pts = np.asarray(points_on_m, dtype=float)
-    dim = inst.dim
-    denom = inst.rho.deriv(_axis_alpha(dim, j0), pts)
-    comps = []
-    for j in range(dim):
-        if j == j0:
-            continue
-        comps.append(-inst.rho.deriv(_axis_alpha(dim, j), pts) / denom)
-    return np.stack(comps, axis=-1)
-
-
-@dataclass(eq=False)
-class GraphChart:
-    """A solved graph chart: axis, slice->coordinate map and its gradient."""
-
-    inst: object
-    j0: int
-
-    def psi(self, slice_pts):
-        vals, found = graph_solve_grid(self.inst, self.j0, slice_pts)
-        if not np.all(found):
-            raise NoRootError("chart does not cover part of the slice set")
-        return vals
-
-    def grad(self, slice_pts):
-        vals = self.psi(np.asarray(slice_pts, dtype=float))
-        pts = _assemble(np.asarray(slice_pts, dtype=float), self.j0, vals,
-                        self.inst.dim)
-        return grad_psi(self.inst, self.j0, pts)
+    grad = inst.grad_rho(points_on_m)
+    return -np.delete(grad, j0, axis=-1) / grad[..., j0:j0 + 1]
 
 
 def gauss_legendre(n, lo, hi):
@@ -131,20 +100,31 @@ class SurfaceChart:
 
     points: (n, 2d) nodes on M (only where the graph exists); weights include
     the slice quadrature weight times (1 + |grad Psi|^2)^(1/2).
+    nodes_per_axis is the tensor grid shape, empty for other slice rules.
     """
 
     j0: int
     points: np.ndarray
     weights: np.ndarray
-    boxes: tuple
-    nodes_per_axis: tuple
+    nodes_per_axis: tuple = ()
 
     def integrate(self, values):
         return complex(np.sum(self.weights * values))
 
 
-def build_chart(inst, j0, boxes, nodes_per_axis, rule="gauss"):
-    """Tensor quadrature chart on M over the slice box.
+def chart_on_surface(inst, j0, slice_pts, weights):
+    """Lift weighted slice points to M: solve for the j0 coordinate, drop
+    points whose axis segment misses M, and fold the graph density into the
+    weights."""
+    vals, found = graph_solve_grid(inst, j0, slice_pts)
+    pts = _assemble(slice_pts[found], j0, vals[found], inst.dim)
+    g = grad_psi(inst, j0, pts)
+    density = np.sqrt(1.0 + np.sum(g * g, axis=-1))
+    return SurfaceChart(j0=j0, points=pts, weights=weights[found] * density)
+
+
+def build_chart(inst, j0, boxes, nodes_per_axis):
+    """Tensor Gauss-Legendre chart on M over the slice box.
 
     boxes: per-slice-axis (lo, hi) pairs, 2d-1 of them in slice order (the
     j0 axis removed).  nodes_per_axis: int or per-axis counts.
@@ -157,57 +137,36 @@ def build_chart(inst, j0, boxes, nodes_per_axis, rule="gauss"):
         nodes_per_axis = (int(nodes_per_axis),) * (dim - 1)
     nodes_per_axis = tuple(int(n) for n in nodes_per_axis)
 
-    axes, wts = [], []
-    for (lo, hi), n in zip(boxes, nodes_per_axis):
-        if rule == "gauss":
-            x, w = gauss_legendre(n, lo, hi)
-        elif rule == "uniform":
-            x = np.linspace(lo, hi, n)
-            if n > 1:
-                w = np.full(n, (hi - lo) / (n - 1))
-                w[0] *= 0.5
-                w[-1] *= 0.5
-            else:
-                w = np.full(1, hi - lo)
-        else:
-            raise ConstraintError(f"unknown quadrature rule {rule!r}")
-        axes.append(x)
-        wts.append(w)
+    axes, wts = zip(*(gauss_legendre(n, lo, hi)
+                      for (lo, hi), n in zip(boxes, nodes_per_axis)))
     mesh = np.meshgrid(*axes, indexing="ij")
     slice_pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*wts, indexing="ij")
     weights = np.ones(slice_pts.shape[0])
-    for wm in wmesh:
+    for wm in np.meshgrid(*wts, indexing="ij"):
         weights = weights * wm.ravel()
-
-    vals, found = graph_solve_grid(inst, j0, slice_pts)
-    slice_pts = slice_pts[found]
-    weights = weights[found]
-    pts = _assemble(slice_pts, j0, vals[found], dim)
-    g = grad_psi(inst, j0, pts)
-    density = np.sqrt(1.0 + np.sum(g * g, axis=-1))
-    return SurfaceChart(j0=j0, points=pts, weights=weights * density,
-                        boxes=tuple(boxes), nodes_per_axis=nodes_per_axis)
+    chart = chart_on_surface(inst, j0, slice_pts, weights)
+    chart.nodes_per_axis = nodes_per_axis
+    return chart
 
 
 _CHART_CACHE_MAX = 24
 _CHART_CACHE_NODE_CAP = 4_000_000
 
 
-def cached_chart(inst, j0, boxes, nodes_per_axis, rule="gauss"):
+def cached_chart(inst, j0, boxes, nodes_per_axis):
     """Bounded chart cache keyed on the quadrature geometry.
 
     Charts are immutable; the cache evicts least-recently-used entries and
     skips storing very large charts outright.
     """
     key = ("chart", j0, tuple((round(lo, 14), round(hi, 14)) for lo, hi in boxes),
-           tuple(np.atleast_1d(nodes_per_axis).tolist()), rule)
+           tuple(np.atleast_1d(nodes_per_axis).tolist()))
     cache = inst._caches.setdefault("charts", {})
     if key in cache:
         chart = cache.pop(key)
         cache[key] = chart  # refresh LRU order
         return chart
-    chart = build_chart(inst, j0, boxes, nodes_per_axis, rule=rule)
+    chart = build_chart(inst, j0, boxes, nodes_per_axis)
     if len(chart.points) <= _CHART_CACHE_NODE_CAP:
         cache[key] = chart
         while len(cache) > _CHART_CACHE_MAX:

@@ -21,6 +21,7 @@ from .fields import (
     PolynomialField,
     SmoothField,
     multi_indices,
+    unit_index,
 )
 
 GRADIENT_FLOOR = 1e-8
@@ -125,22 +126,16 @@ class ProblemInstance:
                 f"min(b1 - b0, 1) = {min(self.b1 - self.b0, 1.0):.4g}")
 
     def grad_rho(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        comps = []
-        for j in range(self.dim):
-            alpha = [0] * self.dim
-            alpha[j] = 1
-            comps.append(self.rho.deriv(tuple(alpha), pts))
-        return np.stack(comps, axis=-1)
+        return _gradient(self.rho, pts)
 
     def grad_phi(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        comps = []
-        for j in range(self.dim):
-            alpha = [0] * self.dim
-            alpha[j] = 1
-            comps.append(self.phi.deriv(tuple(alpha), pts))
-        return np.stack(comps, axis=-1)
+        return _gradient(self.phi, pts)
+
+
+def _gradient(fld, pts):
+    pts = np.asarray(pts, dtype=float)
+    return np.stack([fld.deriv(unit_index(fld.dim, j), pts)
+                     for j in range(fld.dim)], axis=-1)
 
 
 def admissible_constants(inst, grid_density=9, strict=True):

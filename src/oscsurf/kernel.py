@@ -5,11 +5,13 @@ over the hypersurface M:
 
     I_lam(f_1, ..., f_2d) = int_M e^{i lam Phi(x)} prod_j f_j(x_j) a(x) dsigma.
 
-Quadrature is a tensor Gauss-Legendre rule over a graph chart, restricted to
-the intersection of the factor supports with the amplitude box, with per-axis
-node counts scaled to the phase variation (oscillation-resolved).  For d = 2
-the chart is 3-dimensional and fully resolvable; d = 3 falls back to a
-scrambled low-discrepancy rule with a two-seed agreement check.
+Quadrature runs over a graph chart, restricted to the intersection of the
+factor supports with the amplitude box.  For d = 2 the chart is 3-dimensional
+and takes a tensor Gauss-Legendre rule with per-axis node counts scaled to the
+phase variation (oscillation-resolved), checked against a refined rule; d = 3
+falls back to scrambled low-discrepancy blocks checked across two seeds.
+Either way the slice points are lifted to M by geometry.chart_on_surface, and
+one agreement check compares the two estimates.
 
 The extremizer family realizes the sharpness lower bound: modulated
 indicators of width ~ lam^(-1/2), with the last axis widened by the graph
@@ -22,15 +24,13 @@ width constant when violated.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstraintError, NonConvergenceError
-from .geometry import cached_chart, gauss_legendre, graph_solve_grid
-from .tiling import locate
-from .wavepackets import WavePacket
+from .geometry import cached_chart, chart_on_surface, gauss_legendre
+from .wavepackets import packet_for
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,11 +133,7 @@ def bump_factor(center, half_width, order=6, freq=0.0, label="bump"):
 
 def packet_factor(w, t, xi, shift=0.0):
     """A wave packet translated by shift, as a line factor."""
-    from .errors import BoundaryFrequencyError
-    cell = locate(t, xi)
-    if cell is None:
-        raise BoundaryFrequencyError(f"xi = {xi} lies on a cell boundary")
-    pk = WavePacket(window=w, cell=cell)
+    pk = packet_for(w, t, xi)
     half = pk.support_half_width
 
     def f(x):
@@ -316,7 +312,7 @@ def _support_boxes(inst, factors, j0):
     return boxes
 
 
-def _chart_values(inst, chart, lam, factors, j0):
+def _chart_values(inst, chart, lam, factors):
     pts = chart.points
     vals = np.exp(1j * lam * inst.phi.eval(pts)) * inst.amp.eval(pts)
     for j, f in enumerate(factors):
@@ -328,35 +324,29 @@ def _qmc_value(inst, factors, lam, j0, boxes, quad, seed):
     """One scrambled low-discrepancy estimate over the slice box."""
     from scipy.stats import qmc
 
-    from .geometry import grad_psi, graph_solve_grid
-
-    dim = inst.dim
     lo = np.array([b[0] for b in boxes])
     hi = np.array([b[1] for b in boxes])
     vol = float(np.prod(hi - lo))
     n = 2 ** quad.qmc_log2_nodes
-    sampler = qmc.Sobol(d=dim - 1, scramble=True, seed=seed)
+    sampler = qmc.Sobol(d=inst.dim - 1, scramble=True, seed=seed)
     total = 0.0 + 0.0j
     done = 0
     while done < n:
         block = min(n - done, 1 << 16)
-        u = sampler.random(block)
-        slice_pts = lo + u * (hi - lo)
-        sol, found = graph_solve_grid(inst, j0, slice_pts)
-        if np.any(found):
-            sp = slice_pts[found]
-            pts = np.empty((len(sp), dim))
-            pts[:, :j0] = sp[:, :j0]
-            pts[:, j0] = sol[found]
-            pts[:, j0 + 1:] = sp[:, j0:]
-            g = grad_psi(inst, j0, pts)
-            dens = np.sqrt(1.0 + np.sum(g * g, axis=-1))
-            vals = np.exp(1j * lam * inst.phi.eval(pts)) * inst.amp.eval(pts)
-            for j, f in enumerate(factors):
-                vals = vals * f(pts[:, j])
-            total += np.sum(dens * vals)
+        slice_pts = lo + sampler.random(block) * (hi - lo)
+        chart = chart_on_surface(inst, j0, slice_pts, np.ones(block))
+        total += chart.integrate(_chart_values(inst, chart, lam, factors))
         done += block
     return total * vol / n, n
+
+
+def _tensor_value(inst, factors, lam, j0, boxes, quad, scale):
+    """The oscillation-resolved tensor rule, node counts times scale."""
+    nodes = _nodes_for(quad, _axis_phase_rates(inst, lam, factors, j0), boxes,
+                       scale=scale)
+    chart = cached_chart(inst, j0, boxes, nodes)
+    return (chart.integrate(_chart_values(inst, chart, lam, factors)),
+            len(chart.points))
 
 
 def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
@@ -366,8 +356,8 @@ def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
     Charts of dimension up to three use the oscillation-resolved tensor rule
     with a two-resolution agreement check; higher-dimensional charts (d >= 3)
     use a scrambled low-discrepancy rule with a two-seed agreement check.
-    Disagreement records a non-convergence flag in diagnostics (and warns)
-    rather than guessing.
+    Disagreement records converged = False in diagnostics rather than
+    guessing.
     """
     quad = quad or DEFAULT_QUAD
     inst.require_lambda(lam)
@@ -380,43 +370,26 @@ def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
     if boxes is None:
         return 0.0 + 0.0j
 
+    # two estimates a, b: two Sobol scrambles (always compared) or the
+    # tensor rule at two resolutions (compared unless quad.check is off)
+    check = True
     if inst.dim - 1 > 3:
-        v1, n1 = _qmc_value(inst, factors, lam, j0, boxes, quad, quad.qmc_seeds[0])
-        v2, n2 = _qmc_value(inst, factors, lam, j0, boxes, quad, quad.qmc_seeds[1])
-        value = 0.5 * (v1 + v2)
-        denom = max(abs(value), 1e-300)
-        mismatch = abs(v1 - v2) / denom
-        converged = mismatch <= quad.agree_tol or abs(value) < 1e-14
-        if diagnostics is not None:
-            diagnostics.setdefault("refinement_mismatch", {})[lam] = mismatch
-            diagnostics.setdefault("converged", {})[lam] = converged
-            diagnostics.setdefault("n_nodes", {})[lam] = n1 + n2
-        if not converged:
-            warnings.warn(f"two-seed mismatch {mismatch:.2%} at lambda = {lam}")
-        return value
-
-    rates = _axis_phase_rates(inst, lam, factors, j0)
-    nodes = _nodes_for(quad, rates, boxes)
-    chart = cached_chart(inst, j0, boxes, nodes)
-    value = chart.integrate(_chart_values(inst, chart, lam, factors, j0))
-    n_used = len(chart.points)
-
-    if quad.check:
-        fine_nodes = _nodes_for(quad, rates, boxes, scale=quad.refine_factor)
-        fine = cached_chart(inst, j0, boxes, fine_nodes)
-        value_fine = fine.integrate(_chart_values(inst, fine, lam, factors, j0))
-        denom = max(abs(value_fine), 1e-300)
-        mismatch = abs(value - value_fine) / denom
-        converged = mismatch <= quad.agree_tol or abs(value_fine) < 1e-14
-        if diagnostics is not None:
-            diagnostics.setdefault("refinement_mismatch", {})[lam] = mismatch
-            diagnostics.setdefault("converged", {})[lam] = converged
-        if not converged:
-            warnings.warn(f"quadrature refinement mismatch {mismatch:.2%} "
-                          f"at lambda = {lam}")
-        value = value_fine
-        n_used = len(fine.points)
+        (a, n1), (b, n2) = (_qmc_value(inst, factors, lam, j0, boxes, quad, s)
+                            for s in quad.qmc_seeds)
+        value, n_used = 0.5 * (a + b), n1 + n2
+    else:
+        a, n_used = _tensor_value(inst, factors, lam, j0, boxes, quad, 1.0)
+        value, check = a, quad.check
+        if check:
+            b, n_used = _tensor_value(inst, factors, lam, j0, boxes, quad,
+                                      quad.refine_factor)
+            value = b
     if diagnostics is not None:
+        if check:
+            mismatch = abs(a - b) / max(abs(value), 1e-300)
+            diagnostics.setdefault("refinement_mismatch", {})[lam] = mismatch
+            diagnostics.setdefault("converged", {})[lam] = (
+                mismatch <= quad.agree_tol or abs(value) < 1e-14)
         diagnostics.setdefault("n_nodes", {})[lam] = n_used
     return value
 
@@ -470,27 +443,6 @@ def calibrate_extremizer(inst, fam, lambdas, max_shrink=30):
 # The packet kernel
 # ---------------------------------------------------------------------------
 
-def _packet_boxes(inst, w, t, y, xi):
-    """Per-axis supports of the shifted packets intersected with the
-    amplitude box; None when some intersection is empty."""
-    from .errors import BoundaryFrequencyError
-    cells = []
-    for x in xi:
-        cell = locate(t, x)
-        if cell is None:
-            raise BoundaryFrequencyError(f"xi component {x} on a cell boundary")
-        cells.append(cell)
-    packets = [WavePacket(window=w, cell=c) for c in cells]
-    boxes = []
-    for j, pk in enumerate(packets):
-        lo = max(y[j] - pk.support_half_width, -inst.b0)
-        hi = min(y[j] + pk.support_half_width, inst.b0)
-        if lo >= hi:
-            return packets, None
-        boxes.append((lo, hi))
-    return packets, boxes
-
-
 def _crosses_surface(inst, boxes):
     """Exact support test: rho is monotone along every axis, so its range
     over an axis-aligned box is spanned at the corners; constant corner sign
@@ -502,6 +454,21 @@ def _crosses_surface(inst, boxes):
     return vals.min() <= 0.0 <= vals.max()
 
 
+def _packet_setup(inst, w, t, y, xi, j0):
+    """Packet factors shifted to y, the chart axis and the slice box; None
+    when the kernel is exactly zero.  The axis defaults to the widest
+    support box."""
+    factors = [packet_factor(w, t, x, shift=c)
+               for x, c in zip(np.asarray(xi, dtype=float),
+                               np.asarray(y, dtype=float))]
+    boxes = _support_boxes(inst, factors, None)
+    if boxes is None or not _crosses_surface(inst, boxes):
+        return None
+    if j0 is None:
+        j0 = int(np.argmax([hi - lo for lo, hi in boxes]))
+    return factors, j0, [b for j, b in enumerate(boxes) if j != j0]
+
+
 def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None):
     """The packet kernel: the functional evaluated on 2d shifted packets.
 
@@ -509,30 +476,12 @@ def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None):
     (covers y outside the domain), or the surface misses the support box
     entirely (covers |rho(y)| large compared to the packet scales).
     """
-    quad = quad or DEFAULT_QUAD
-    y = np.asarray(y, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    packets, boxes = _packet_boxes(inst, w, t, y, xi)
-    if boxes is None:
+    setup = _packet_setup(inst, w, t, y, xi, j0)
+    if setup is None:
         return 0.0 + 0.0j
-    if not _crosses_surface(inst, boxes):
-        return 0.0 + 0.0j
-    if j0 is None:
-        j0 = int(np.argmax([hi - lo for lo, hi in boxes]))
-
-    factors = [LineFactor(lo=y[j] - pk.support_half_width,
-                          hi=y[j] + pk.support_half_width,
-                          func=(lambda x, pk=pk, c=y[j]: pk(x - c)),
-                          l2=pk.l2_norm(),
-                          phase_rate=TWO_PI * abs(pk.modulation))
-               for j, pk in enumerate(packets)]
-    fam = TestFunctionFamily(kind="user", inst=inst, factors=factors)
-
-    slice_boxes = [b for j, b in enumerate(boxes) if j != j0]
-    rates = _axis_phase_rates(inst, lam, factors, j0)
-    nodes = _nodes_for(quad, rates, slice_boxes)
-    chart = cached_chart(inst, j0, slice_boxes, nodes)
-    return chart.integrate(_chart_values(inst, chart, lam, factors, j0))
+    factors, j0, slice_boxes = setup
+    return _tensor_value(inst, factors, lam, j0, slice_boxes,
+                         quad or DEFAULT_QUAD, 1.0)[0]
 
 
 def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
@@ -540,17 +489,13 @@ def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
 
     Uniform trapezoid grid over the slice box, bisection-only root solve of
     rho along the chart axis, explicit graph density.  Shares no quadrature
-    machinery with kernel_eval beyond the field oracles.
+    machinery with kernel_eval beyond the field oracles and the packets.
     """
-    y = np.asarray(y, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    packets, boxes = _packet_boxes(inst, w, t, y, xi)
-    if boxes is None or not _crosses_surface(inst, boxes):
+    setup = _packet_setup(inst, w, t, y, xi, j0)
+    if setup is None:
         return 0.0 + 0.0j
-    if j0 is None:
-        j0 = int(np.argmax([hi - lo for lo, hi in boxes]))
+    factors, j0, slice_boxes = setup
     dim = inst.dim
-    slice_boxes = [b for j, b in enumerate(boxes) if j != j0]
 
     axes, wts = [], []
     for lo, hi in slice_boxes:
@@ -597,8 +542,8 @@ def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
     density = np.sqrt(1.0 + np.sum(dpsi * dpsi, axis=-1))
 
     vals = np.exp(1j * lam * inst.phi.eval(pts)) * inst.amp.eval(pts)
-    for j, pk in enumerate(packets):
-        vals = vals * pk(pts[:, j] - y[j])
+    for j, f in enumerate(factors):
+        vals = vals * f(pts[:, j])
     return complex(np.sum(weight * density * vals))
 
 
@@ -680,6 +625,7 @@ class DecayReport:
     lower_ratio_min: float
     norms: list
     n_nodes: list
+    converged: list
     growth_violation: bool
     diagnostics: dict
 
@@ -691,7 +637,8 @@ def decay_fit(inst, fam, lambdas, quad=None, j0=None):
     and intercept, the scaled upper ratio max_lam |I| lam^((d-1)/2) / prod
     ||f_j||_2, the sharpness ratio min_lam |I| lam^((2d-1)/2), and flags a
     bound violation when the normalized upper ratio grows monotonically by
-    more than a factor of ten across the sweep.
+    more than a factor of ten across the sweep.  A frequency whose agreement
+    check fails is reported in converged, not raised.
     """
     lambdas = [float(v) for v in lambdas]
     if len(lambdas) < 4:
@@ -721,9 +668,11 @@ def decay_fit(inst, fam, lambdas, quad=None, j0=None):
     monotone_up = all(b > a for a, b in zip(upper, upper[1:]))
     violation = monotone_up and upper[-1] > 10.0 * upper[0]
     nodes = [diagnostics.get("n_nodes", {}).get(lam, 0) for lam in lambdas]
+    converged = [diagnostics.get("converged", {}).get(lam, True)
+                 for lam in lambdas]
     return DecayReport(lambdas=lambdas, values=values, abs_values=absv,
                        slope=float(slope), intercept=float(intercept),
                        upper_ratio_max=float(max(upper)),
                        lower_ratio_min=float(min(lower)),
-                       norms=norms, n_nodes=nodes, growth_violation=violation,
-                       diagnostics=diagnostics)
+                       norms=norms, n_nodes=nodes, converged=converged,
+                       growth_violation=violation, diagnostics=diagnostics)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintError
+from .fields import unit_index
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,9 @@ def _hessian(fld, idx_rows, idx_cols, pts):
 
 
 def _partials(fld, idx, pts):
-    dim = fld.dim
     out = np.empty(pts.shape[:-1] + (len(idx),))
     for a, i in enumerate(idx):
-        alpha = [0] * dim
-        alpha[i] = 1
-        out[..., a] = fld.deriv(tuple(alpha), pts)
+        out[..., a] = fld.deriv(unit_index(fld.dim, i), pts)
     return out
 
 

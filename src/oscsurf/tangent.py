@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ConstraintError, HypothesisError
 from .exprs import Const, FieldTerm, add, as_expr, div, evaluate_chunked, mul, scale, sqrt_expr
+from .fields import unit_index
 from .geometry import cached_chart
 
 _GRAD_FLOOR = 1e-8
@@ -64,17 +65,11 @@ def _psi_boxes(psi, inst, j0):
     return [(-inst.b0, inst.b0)] * (inst.dim - 1)
 
 
-def _unit_alpha(dim, j):
-    a = [0] * dim
-    a[j] = 1
-    return tuple(a)
-
-
 def _rho_partials(inst):
     key = ("rho_partials",)
     if key not in inst._caches:
         dim = inst.dim
-        g = [FieldTerm(inst.rho, _unit_alpha(dim, j)) for j in range(dim)]
+        g = [FieldTerm(inst.rho, unit_index(dim, j)) for j in range(dim)]
         S = add(*[mul(gj, gj) for gj in g])
         inst._caches[key] = (g, S)
     return inst._caches[key]

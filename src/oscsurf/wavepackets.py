@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandLimitError, BoundaryFrequencyError, ConstraintError
-from .tiling import Tiling, locate
+from .errors import BandLimitError, ConstraintError
+from .tiling import Tiling, locate, locate_strict
 from .window import Window
 
 
@@ -231,10 +231,7 @@ class WavePacket:
 
 def packet_for(w, t, xi):
     """The packet phi_xi for xi interior to a cell; boundary raises."""
-    cell = locate(t, xi)
-    if cell is None:
-        raise BoundaryFrequencyError(f"xi = {xi} lies on a cell boundary")
-    return WavePacket(window=w, cell=cell)
+    return WavePacket(window=w, cell=locate_strict(t, xi))
 
 
 # ---------------------------------------------------------------------------

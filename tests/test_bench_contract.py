@@ -1,0 +1,56 @@
+"""The names the benchmark's tracer wraps must exist on oscsurf.
+
+perfbench/tracer.py patches functions and methods by name; a rename in the
+package would otherwise surface only as a failed traced benchmark run.
+The tracer is loaded from its file and left unmodified.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+import pytest
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                      "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_wrapped_functions_resolve(tracer):
+    for modname, attr, _, _ in tracer.FUNCTIONS:
+        mod = importlib.import_module(f"oscsurf.{modname}")
+        assert callable(getattr(mod, attr, None)), f"oscsurf.{modname}.{attr}"
+
+
+def test_wrapped_methods_resolve(tracer):
+    for modname, cls_name, meth, _, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"oscsurf.{modname}"), cls_name)
+        assert callable(vars(cls).get(meth)), f"{cls_name}.{meth}"
+
+
+def test_counted_arguments_keep_their_places():
+    # the tracer's counts read eval_I's lam (third) and diagnostics, and the
+    # oracle's nodes_per_axis (seventh)
+    from oscsurf import kernel
+    params = list(inspect.signature(kernel.eval_I).parameters)
+    assert params[2] == "lam" and "diagnostics" in params
+    params = list(inspect.signature(kernel.kernel_eval_dense).parameters)
+    assert params[6] == "nodes_per_axis"
+
+
+def test_install_uninstall_leaves_no_wrapper(tracer):
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert tracer.installed_wrappers() > 0
+    finally:
+        t.uninstall()
+    assert tracer.installed_wrappers() == 0

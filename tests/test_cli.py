@@ -148,12 +148,29 @@ lambda = 25 50 100 200
 """)
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    assert main(["decay", "--config", cfg, "--out", str(out1), "--quiet",
-                 "--serial"]) == 0
-    assert main(["decay", "--config", cfg, "--out", str(out2), "--quiet",
-                 "--serial"]) == 0
+    assert main(["decay", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
+    assert main(["decay", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
     assert (out1 / "decay_values.csv").read_bytes() \
         == (out2 / "decay_values.csv").read_bytes()
+
+
+def test_decay_non_convergence_exit_code(tmp_path, monkeypatch):
+    from oscsurf import kernel
+    monkeypatch.setattr(kernel, "DEFAULT_QUAD", kernel.QuadPolicy(agree_tol=1e-12))
+    cfg = write_config(tmp_path, """
+[decay]
+family = bumps
+n_families = 1
+lambda = 25 50 100 200
+""")
+    code, out, manifest = run(tmp_path, "decay", "--config", cfg)
+    assert code == 3
+    failed = [c for c in manifest["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["non-convergence"]
+    assert "bumps-0 at lambda = 25" in failed[0]["detail"]
+    # the sweep's artifacts are still written and listed
+    assert (out / "decay_values.csv").exists()
+    assert sorted(manifest["artifacts"]) == sorted(os.listdir(out))
 
 
 def test_ibp_subcommand(tmp_path):

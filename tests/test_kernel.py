@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,9 @@ def test_eval_packet_consistency_single(paper, w):
     direct = eval_I(paper, fam, lam)
     kern = kernel_eval(paper, w, t, y, xi, lam)
     assert abs(direct - kern) <= 1e-4 * abs(kern)
+    # on a common chart axis both run the same tensor rule
+    assert kernel_eval(paper, w, t, y, xi, lam, j0=3) \
+        == eval_I(paper, fam, lam, quad=QuadPolicy(check=False), j0=3)
 
 
 def test_eval_packet_consistency_combination(paper, w):
@@ -297,6 +301,17 @@ def test_decay_fit_invisible_family(paper):
                              factors=[factors[3]] + factors[:3])
     with pytest.raises(ConstraintError):
         decay_fit(paper, fam, SWEEP[:4])
+
+
+def test_decay_fit_reports_non_convergence(paper):
+    # bumps, not the extremizer: its indicator products are integrated
+    # exactly at both resolutions, so even a 1e-12 tolerance would pass
+    fam = random_bump_family(paper, np.random.default_rng(3))
+    assert decay_fit(paper, fam, SWEEP[:4]).converged == [True] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = decay_fit(paper, fam, SWEEP[:4], quad=QuadPolicy(agree_tol=1e-12))
+    assert rep.converged == [False] * 4
 
 
 # -- kernel ------------------------------------------------------------------------
