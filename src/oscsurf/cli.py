@@ -45,11 +45,13 @@ class Manifest:
         }
         self.out_dir = out_dir
 
-    def check(self, name, status, detail=""):
+    def check(self, name, status, detail="", elapsed=None):
         if status not in ("pass", "fail", "skip"):
             raise ValueError(f"bad status {status!r}")
-        self.data["checks"].append({"name": name, "status": status,
-                                    "detail": detail})
+        entry = {"name": name, "status": status, "detail": detail}
+        if elapsed is not None:
+            entry["elapsed_s"] = float(elapsed)
+        self.data["checks"].append(entry)
 
     def artifact(self, name):
         self.data["artifacts"].append(name)
@@ -227,7 +229,7 @@ def cmd_kernel(cfg, manifest, args):
         n_samples=n_samples, lam=lam,
         tol=cfg.get_float("kernel", "oracle_tolerance"),
         oracle_nodes=cfg.get_int("kernel", "oracle_nodes"), seed=seed)
-    manifest.check(res.name, res.status, res.detail)
+    manifest.check(res.name, res.status, res.detail, elapsed=res.elapsed)
 
     # probe table: measured kernel size against the stationary-phase majorant
     inst = _instance_from_config(cfg)
@@ -326,7 +328,7 @@ def cmd_selftest(cfg, manifest, args):
     rows = []
     for res in results:
         status = "skip" if res.extras.get("skipped") else res.status
-        manifest.check(res.name, status, res.detail)
+        manifest.check(res.name, status, res.detail, elapsed=res.elapsed)
         # timings live in the manifest; the CSV stays byte-reproducible
         rows.append((res.name, status, res.detail.replace(",", ";")))
     _write_csv(manifest.artifact("selftest_results.csv"),

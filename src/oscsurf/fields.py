@@ -65,6 +65,23 @@ class SmoothField:
     def _deriv(self, alpha, pts):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def along_axis(self, j0, slice_pts):
+        """The restriction v -> f(slice point with v inserted at axis j0) for
+        fixed (n, dim - 1) slice points, as a callable on a scalar or an
+        (n,) array.  The returned values may share a buffer that the next
+        call overwrites.  This version writes the j0 column of one
+        preallocated (n, dim) point array and evaluates the field there."""
+        slice_pts = np.asarray(slice_pts, dtype=float)
+        pts = np.empty((slice_pts.shape[0], self.dim))
+        pts[:, :j0] = slice_pts[:, :j0]
+        pts[:, j0 + 1:] = slice_pts[:, j0:]
+
+        def restricted(v):
+            pts[:, j0] = v
+            return self.eval(pts)
+
+        return restricted
+
 
 class PolynomialField(SmoothField):
     """Multivariate polynomial given as {exponent tuple: coefficient}."""
@@ -111,6 +128,33 @@ class PolynomialField(SmoothField):
             out += term
         return out
 
+    def along_axis(self, j0, slice_pts):
+        """Polynomial restriction to the axis lines: the coefficient arrays
+        c_k(slice) of v^k are built once from the terms, and each call
+        evaluates sum_k c_k v^k by in-place Horner (one multiply-add for a
+        field affine along axis j0)."""
+        slice_pts = np.asarray(slice_pts, dtype=float)
+        n = slice_pts.shape[0]
+        coeffs = {}
+        for expo, coeff in self.terms.items():
+            col = np.full(n, coeff)
+            for j, e in enumerate(expo[:j0] + expo[j0 + 1:]):
+                if e:
+                    col *= slice_pts[:, j] ** e
+            coeffs[expo[j0]] = coeffs.get(expo[j0], 0.0) + col
+        top = max(coeffs, default=0)
+        chain = [coeffs.get(k, 0.0) for k in range(top, -1, -1)]
+        out = np.empty(n)
+
+        def restricted(v):
+            out[:] = chain[0]
+            for c in chain[1:]:
+                np.multiply(out, v, out=out)
+                np.add(out, c, out=out)
+            return out
+
+        return restricted
+
 
 def bump1d_value(k, t, half_width, order):
     """k-th derivative of the one-dimensional bump (1 - (t/h)^2)^m on |t| < h.
@@ -119,14 +163,21 @@ def bump1d_value(k, t, half_width, order):
     derivatives are polynomial and exact.
     """
     polys = _bump1d_polys(order)
-    if k >= len(polys):
-        return np.zeros_like(np.asarray(t, dtype=float))
     t = np.asarray(t, dtype=float)
-    u = t / half_width
-    out = np.zeros_like(u)
-    mask = np.abs(u) < 1.0
-    if np.any(mask):
-        out[mask] = polys[k](u[mask]) / half_width**k
+    if k >= len(polys):
+        return np.zeros_like(t)
+    u = np.divide(t, half_width, out=np.empty_like(t))
+    outside = ~(np.abs(u) < 1.0)
+    np.clip(u, -1.0, 1.0, out=u)  # values outside are dropped; keep them finite
+    # Horner in Polynomial.__call__'s operation order, so the values inside
+    # the support are bit-identical to polys[k](u) / half_width**k
+    coef = polys[k].coef
+    out = np.full_like(u, coef[-1])
+    for c in coef[-2::-1]:
+        out *= u
+        out += c
+    out /= half_width**k
+    out[outside] = 0.0
     return out
 
 

@@ -357,7 +357,8 @@ def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
     with a two-resolution agreement check; higher-dimensional charts (d >= 3)
     use a scrambled low-discrepancy rule with a two-seed agreement check.
     Disagreement records converged = False in diagnostics rather than
-    guessing.
+    guessing.  With quad.check off, one resolution or one scramble
+    (quad.qmc_seeds[0]) runs and no agreement is recorded.
     """
     quad = quad or DEFAULT_QUAD
     inst.require_lambda(lam)
@@ -370,22 +371,25 @@ def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
     if boxes is None:
         return 0.0 + 0.0j
 
-    # two estimates a, b: two Sobol scrambles (always compared) or the
-    # tensor rule at two resolutions (compared unless quad.check is off)
-    check = True
-    if inst.dim - 1 > 3:
-        (a, n1), (b, n2) = (_qmc_value(inst, factors, lam, j0, boxes, quad, s)
-                            for s in quad.qmc_seeds)
-        value, n_used = 0.5 * (a + b), n1 + n2
-    else:
-        a, n_used = _tensor_value(inst, factors, lam, j0, boxes, quad, 1.0)
-        value, check = a, quad.check
-        if check:
-            b, n_used = _tensor_value(inst, factors, lam, j0, boxes, quad,
-                                      quad.refine_factor)
-            value = b
+    # a first estimate a and, unless quad.check is off, a second one b to
+    # compare it with: another Sobol scramble (the mean is kept) or the
+    # refined tensor rule (its value is kept)
+    qmc = inst.dim - 1 > 3
+
+    def estimate(second):
+        if qmc:
+            return _qmc_value(inst, factors, lam, j0, boxes, quad,
+                              quad.qmc_seeds[second])
+        return _tensor_value(inst, factors, lam, j0, boxes, quad,
+                             quad.refine_factor if second else 1.0)
+
+    a, n_used = estimate(0)
+    value = a
+    if quad.check:
+        b, n_b = estimate(1)
+        value, n_used = (0.5 * (a + b), n_used + n_b) if qmc else (b, n_b)
     if diagnostics is not None:
-        if check:
+        if quad.check:
             mismatch = abs(a - b) / max(abs(value), 1e-300)
             diagnostics.setdefault("refinement_mismatch", {})[lam] = mismatch
             diagnostics.setdefault("converged", {})[lam] = (
@@ -484,67 +488,82 @@ def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None):
                          quad or DEFAULT_QUAD, 1.0)[0]
 
 
+_ORACLE_BLOCK = 1 << 15  # slice points per oracle block
+
+
+def _axis_bisection(rho_line, b):
+    """52 halvings of [-b, b] for each line's v -> rho_line(v).
+
+    Returns the midpoints of the final brackets and the mask of lines whose
+    end signs differ.  A bracket keeps its low end where rho has the sign it
+    has at -b, so that sign never changes, and all brackets share one width:
+    only the low ends are stored, in buffers reused across the halvings.
+    """
+    sign_lo = np.sign(rho_line(-b))
+    crosses = sign_lo != np.sign(rho_line(b))
+    lo = np.full(len(sign_lo), -b)
+    mid = np.empty_like(lo)
+    sign_mid = np.empty_like(lo)
+    left = np.empty(len(lo), dtype=bool)
+    half = b
+    for _ in range(52):
+        np.add(lo, half, out=mid)
+        np.sign(rho_line(mid), out=sign_mid)
+        np.equal(sign_mid, sign_lo, out=left)
+        np.copyto(lo, mid, where=left)
+        half *= 0.5
+    return lo + half, crosses
+
+
+def _trapezoid_blocks(slice_boxes, nodes_per_axis):
+    """The oracle's uniform trapezoid grid over the slice box, as blocks of
+    slice points with their weights, in the grid's row-major order."""
+    axes, wts = [], []
+    for lo, hi in slice_boxes:
+        axes.append(np.linspace(lo, hi, nodes_per_axis))
+        wgrid = np.full(nodes_per_axis, (hi - lo) / (nodes_per_axis - 1))
+        wgrid[0] *= 0.5
+        wgrid[-1] *= 0.5
+        wts.append(wgrid)
+    shape = (nodes_per_axis,) * len(axes)
+    n = nodes_per_axis ** len(axes)
+    for start in range(0, n, _ORACLE_BLOCK):
+        idx = np.unravel_index(np.arange(start, min(start + _ORACLE_BLOCK, n)),
+                               shape)
+        weight = np.ones(len(idx[0]))
+        for wgrid, i in zip(wts, idx):
+            weight = weight * wgrid[i]
+        yield np.stack([a[i] for a, i in zip(axes, idx)], axis=-1), weight
+
+
 def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
     """Independent brute-force oracle for the packet kernel.
 
     Uniform trapezoid grid over the slice box, bisection-only root solve of
-    rho along the chart axis, explicit graph density.  Shares no quadrature
-    machinery with kernel_eval beyond the field oracles and the packets.
+    rho restricted to the chart-axis line (52 halvings of [-b1, b1]),
+    explicit graph density.  Shares no quadrature machinery with kernel_eval
+    beyond the field oracles and the packets.  The grid is lifted and summed
+    a block at a time, so every array stays the size of one block.
     """
     setup = _packet_setup(inst, w, t, y, xi, j0)
     if setup is None:
         return 0.0 + 0.0j
     factors, j0, slice_boxes = setup
-    dim = inst.dim
+    total = 0.0 + 0.0j
+    for slice_pts, weight in _trapezoid_blocks(slice_boxes, nodes_per_axis):
+        roots, crosses = _axis_bisection(
+            inst.rho.along_axis(j0, slice_pts), inst.b1)
+        pts = np.insert(slice_pts[crosses], j0, roots[crosses], axis=1)
 
-    axes, wts = [], []
-    for lo, hi in slice_boxes:
-        xgrid = np.linspace(lo, hi, nodes_per_axis)
-        wgrid = np.full(nodes_per_axis, (hi - lo) / (nodes_per_axis - 1))
-        wgrid[0] *= 0.5
-        wgrid[-1] *= 0.5
-        axes.append(xgrid)
-        wts.append(wgrid)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    slice_pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    weight = np.ones(len(slice_pts))
-    for wm in np.meshgrid(*wts, indexing="ij"):
-        weight = weight * wm.ravel()
+        grad = inst.grad_rho(pts)
+        dpsi = -np.delete(grad, j0, axis=1) / grad[:, j0:j0 + 1]
+        density = np.sqrt(1.0 + np.sum(dpsi * dpsi, axis=-1))
 
-    # bisection along the chart axis
-    lo_v = np.full(len(slice_pts), -inst.b1)
-    hi_v = np.full(len(slice_pts), inst.b1)
-
-    def rho_at(v):
-        pts = np.empty((len(slice_pts), dim))
-        pts[:, :j0] = slice_pts[:, :j0]
-        pts[:, j0] = v
-        pts[:, j0 + 1:] = slice_pts[:, j0:]
-        return inst.rho.eval(pts), pts
-
-    f_lo, _ = rho_at(lo_v)
-    f_hi, _ = rho_at(hi_v)
-    crosses = np.sign(f_lo) != np.sign(f_hi)
-    for _ in range(52):
-        mid = 0.5 * (lo_v + hi_v)
-        f_mid, _ = rho_at(mid)
-        left = np.sign(f_mid) == np.sign(f_lo)
-        lo_v = np.where(left, mid, lo_v)
-        f_lo = np.where(left, f_mid, f_lo)
-        hi_v = np.where(left, hi_v, mid)
-    sol = 0.5 * (lo_v + hi_v)
-    _, pts = rho_at(sol)
-    pts = pts[crosses]
-    weight = weight[crosses]
-
-    grad = inst.grad_rho(pts)
-    dpsi = -np.delete(grad, j0, axis=1) / grad[:, j0:j0 + 1]
-    density = np.sqrt(1.0 + np.sum(dpsi * dpsi, axis=-1))
-
-    vals = np.exp(1j * lam * inst.phi.eval(pts)) * inst.amp.eval(pts)
-    for j, f in enumerate(factors):
-        vals = vals * f(pts[:, j])
-    return complex(np.sum(weight * density * vals))
+        vals = np.exp(1j * lam * inst.phi.eval(pts)) * inst.amp.eval(pts)
+        for j, f in enumerate(factors):
+            vals = vals * f(pts[:, j])
+        total += np.sum(weight[crosses] * density * vals)
+    return complex(total)
 
 
 # ---------------------------------------------------------------------------

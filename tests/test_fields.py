@@ -8,6 +8,9 @@ from oscsurf.fields import (
     BumpField,
     FDField,
     PolynomialField,
+    ScaledSumField,
+    _bump1d_polys,
+    bump1d_value,
     example_phi_even,
     example_phi_odd,
     example_rho,
@@ -119,6 +122,45 @@ def test_bump_derivative_is_exact_inside():
     pts = np.random.default_rng(3).uniform(-0.3, 0.3, size=(20, 2))
     assert np.allclose(amp.deriv((1, 1), pts), fd.deriv((1, 1), pts),
                        rtol=1e-4, atol=1e-6)
+
+
+def test_bump1d_value_is_bitwise_the_polynomial_call():
+    h = 0.3
+    # interior, the support edges, beyond them, and the centre
+    t = np.concatenate([np.linspace(-1.5 * h, 1.5 * h, 301),
+                        [h, -h, 2.0 * h, -0.0, np.nextafter(h, 0.0)]])
+    u = t / h
+    inside = np.abs(u) < 1.0
+    for order in range(1, 9):
+        polys = _bump1d_polys(order)
+        for k in range(2 * order + 2):  # k = 2 order + 1 is past the last
+            want = np.zeros_like(t)
+            if k < len(polys):
+                want[inside] = polys[k](u[inside]) / h**k
+            assert np.array_equal(bump1d_value(k, t, h, order), want), (order, k)
+
+
+LINE_FIELDS = [
+    {(1, 0, 1, 0): 1.0, (0, 0, 0, 3): 0.5, (0, 2, 0, 1): -0.25,
+     (1, 0, 0, 0): 1.0, (0, 0, 0, 1): 1.0, (0, 0, 0, 0): 0.1},
+    {(1, 0, 0, 0): 2.0},  # constant along every axis but the first
+    {},                   # the zero field
+]
+
+
+@pytest.mark.parametrize("terms", LINE_FIELDS)
+@pytest.mark.parametrize("j0", range(4))
+def test_along_axis_matches_eval_on_the_line(terms, j0):
+    poly = PolynomialField(4, terms, half_widths=0.5)
+    generic = ScaledSumField([1.0], [poly])  # no override: the buffer path
+    rng = np.random.default_rng(j0)
+    slice_pts = rng.uniform(-0.5, 0.5, size=(50, 3))
+    poly_line = poly.along_axis(j0, slice_pts)
+    generic_line = generic.along_axis(j0, slice_pts)
+    for v in (-0.5, rng.uniform(-0.5, 0.5, size=50), 0.5):
+        want = poly.eval(np.insert(slice_pts, j0, v, axis=1))
+        assert np.allclose(poly_line(v), want, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(generic_line(v), want)
 
 
 def test_parse_polynomial_table_roundtrip():

@@ -82,6 +82,22 @@ def test_d3_extremizer_two_seed_agreement():
     assert diag["converged"][25.0]
 
 
+def test_d3_check_off_runs_one_scramble():
+    from oscsurf.kernel import _qmc_value, _support_boxes
+    inst = make_instance("tilted", d=3, b0=0.3, b1=0.5)
+    fam = constant_family(inst)
+    quad = QuadPolicy(qmc_log2_nodes=10, check=False)
+    diag = {}
+    val = eval_I(inst, fam, 25.0, quad=quad, diagnostics=diag)
+    j0 = inst.dim - 1
+    boxes = _support_boxes(inst, fam.factors_for(25.0), j0)
+    one, n = _qmc_value(inst, fam.factors_for(25.0), 25.0, j0, boxes, quad,
+                        quad.qmc_seeds[0])
+    assert val == one and n == 2**10
+    assert diag["n_nodes"][25.0] == 2**10
+    assert "refinement_mismatch" not in diag and "converged" not in diag
+
+
 def test_d3_extremizer_sharpness_slope():
     # the lower-bound scaling is lam^(-(2d-1)/2) = lam^(-5/2) for d = 3
     from oscsurf.kernel import decay_fit

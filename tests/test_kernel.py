@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from oscsurf.errors import BoundaryFrequencyError, ConstraintError
-from oscsurf.geometry import graph_solve
+from oscsurf.fields import PolynomialField, ScaledSumField, example_phi_even
+from oscsurf.geometry import graph_solve, graph_solve_grid
 from oscsurf.instance import make_instance
 from oscsurf.kernel import (
     QuadPolicy,
     TestFunctionFamily,
+    _axis_bisection,
+    _trapezoid_blocks,
     calibrate_extremizer,
     classify_region,
     constant_family,
@@ -347,6 +350,94 @@ def test_kernel_matches_dense_oracle(paper, w):
     val = kernel_eval(paper, w, t, y, xi, lam)
     oracle = kernel_eval_dense(paper, w, t, y, xi, lam, nodes_per_axis=120)
     assert abs(val - oracle) <= 0.01 * abs(oracle)
+
+
+# kernel_eval_dense(paper, ...) at 48 nodes/axis for the sample of
+# test_kernel_matches_dense_oracle, recorded with the oracle that evaluated
+# the full 4-variable rho at every bisection step
+PINNED_DENSE_48 = 0.00037785003372729515 - 0.0001352664453729011j
+
+
+def test_dense_oracle_pinned_value(paper, w):
+    lam = 100.0
+    t = build_tiling(lam, 6 * lam)
+    y = np.array([0.05, -0.04, 0.06, 0.0])
+    y[3] = graph_solve(paper, 3, y[:3])
+    xi = np.array([63.0, -37.0, 117.0, 47.0])
+    val = kernel_eval_dense(paper, w, t, y, xi, lam, nodes_per_axis=48)
+    assert abs(val - PINNED_DENSE_48) <= 1e-9 * abs(PINNED_DENSE_48)
+    seven = np.array([7.0, 7.0, 7.0, 7.0])
+    assert kernel_eval_dense(paper, w, t, np.array([5.0, 0.0, 0.0, 0.0]),
+                             seven, lam, nodes_per_axis=48) == 0.0
+    assert kernel_eval_dense(paper, w, t, np.array([0.25, 0.25, 0.25, 0.28]),
+                             seven, lam, nodes_per_axis=48) == 0.0
+
+
+def test_trapezoid_blocks_tile_the_grid():
+    """The oracle's blocks, joined, are the full trapezoid grid and its
+    weights in row-major order, bit for bit."""
+    boxes = [(-0.1, 0.2), (0.05, 0.07), (-0.3, -0.25)]
+    n = 40  # 64000 slice points: one full block and one partial block
+    blocks = list(_trapezoid_blocks(boxes, n))
+    assert len(blocks) == 2
+    pts = np.concatenate([b[0] for b in blocks])
+    weight = np.concatenate([b[1] for b in blocks])
+    axes = [np.linspace(lo, hi, n) for lo, hi in boxes]
+    wts = []
+    for lo, hi in boxes:
+        wgrid = np.full(n, (hi - lo) / (n - 1))
+        wgrid[[0, -1]] *= 0.5
+        wts.append(wgrid)
+    want_pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                        axis=-1)
+    want_weight = np.ones(n ** 3)
+    for wm in np.meshgrid(*wts, indexing="ij"):
+        want_weight = want_weight * wm.ravel()
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(weight, want_weight)
+
+
+def _cubic_rho():
+    """Monotone along every axis, cubic along the last:
+    d_4 rho = 1 + 3 x_2'^2 + x_1 x_2' >= 3/4 on [-1/2, 1/2]^4."""
+    return PolynomialField(4, {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1.0,
+                               (0, 0, 1, 0): 1.0, (0, 0, 0, 1): 1.0,
+                               (0, 0, 0, 3): 1.0, (1, 0, 0, 2): 0.5,
+                               (1, 0, 1, 0): 1.0}, half_widths=0.5)
+
+
+def test_dense_bisection_matches_graph_solve():
+    inst = make_instance("custom", b0=0.3, b1=0.5, rho=_cubic_rho())
+    # random slice points: none has its root exactly at an end of the line,
+    # where rounding alone would decide whether the segment crosses M
+    slice_pts = np.random.default_rng(11).uniform(-0.5, 0.5, size=(2000, 3))
+    for j0 in (3, 0):
+        roots, crosses = _axis_bisection(
+            inst.rho.along_axis(j0, slice_pts), inst.b1)
+        # the Newton solve stops at |rho| <= tol, so its root is within
+        # tol / min |d_j0 rho| of the true one: ask for a tight residual
+        want, found = graph_solve_grid(inst, j0, slice_pts, tol=1e-14)
+        assert np.array_equal(crosses, found) and crosses.any()
+        assert np.max(np.abs(roots[crosses] - want[found])) <= 1e-12
+
+
+def test_dense_oracle_generic_field_path(w):
+    """The polynomial restriction and the one-buffer path of any other
+    field give the same oracle value."""
+    rho = _cubic_rho()
+    phi = example_phi_even(2, 0.5)
+    poly = make_instance("custom", b0=0.3, b1=0.5, rho=rho, phi=phi)
+    generic = make_instance("custom", b0=0.3, b1=0.5, phi=phi,
+                            rho=ScaledSumField([1.0], [rho]))
+    lam = 100.0
+    t = build_tiling(lam, 6 * lam)
+    y = np.array([0.05, -0.04, 0.06, 0.0])
+    y[3] = graph_solve(poly, 3, y[:3])
+    xi = np.array([63.0, -37.0, 117.0, 47.0])
+    a = kernel_eval_dense(poly, w, t, y, xi, lam, nodes_per_axis=40)
+    b = kernel_eval_dense(generic, w, t, y, xi, lam, nodes_per_axis=40)
+    assert abs(a) > 0
+    assert abs(a - b) <= 1e-10 * abs(a)
 
 
 def test_kernel_decay_probe_rows(paper, w):
