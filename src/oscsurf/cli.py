@@ -80,12 +80,10 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows, append=False):
+def _write_csv(path, header, rows):
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    fresh = not (append and os.path.exists(path))
-    with open(path, "w" if fresh else "a") as fh:
-        if fresh:
-            fh.write(",".join(header) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -156,7 +154,7 @@ def cmd_reconstruct(cfg, manifest, args):
     frac = cfg.get_float("reconstruct", "xi_band")
     res = check_reconstruction(n_signals=n, tol=tol, seed=seed, band_frac=frac)
     manifest.check(res.name, res.status, res.detail)
-    res2 = check_analysis_bound(n_signals=n, seed=seed)
+    res2 = check_analysis_bound(n_signals=n, seed=seed, band_frac=frac)
     manifest.check(res2.name, res2.status, res2.detail)
 
 
@@ -213,7 +211,7 @@ def cmd_ibp(cfg, manifest, args):
                        f"rel_error {rep.rel_error!r} (tol {tol:g})")
     _write_csv(manifest.artifact("ibp_report.csv"),
                ["N", "lambda", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-                "rel_error"], rows, append=True)
+                "rel_error"], rows)
 
 
 def cmd_kernel(cfg, manifest, args):

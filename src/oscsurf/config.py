@@ -17,7 +17,7 @@ _KNOWN = {
     "instance": {"name", "b0", "b1", "d", "grid_density", "rho_table", "phi_table"},
     "tiling": {"lambda", "xi_max", "n_random", "seed"},
     "window": {"profile", "grid"},
-    "reconstruct": {"lambda", "n_signals", "xi_band", "tolerance", "seed"},
+    "reconstruct": {"n_signals", "xi_band", "tolerance", "seed"},
     "certify": {"x_density", "circle_points", "threshold", "lipschitz_padding"},
     "ibp": {"lambda", "orders", "tolerance", "nodes", "xi"},
     "kernel": {"lambda", "n_samples", "oracle_tolerance", "oracle_nodes", "seed"},
@@ -32,14 +32,14 @@ DEFAULTS = {
     "tiling": {"lambda": "10", "xi_max": "40", "n_random": "1000000",
                "seed": "1"},
     "window": {"profile": "autocorr-bump", "grid": "16384"},
-    "reconstruct": {"lambda": "1 10 100", "n_signals": "50", "xi_band": "0.8",
+    "reconstruct": {"n_signals": "50", "xi_band": "0.8",
                     "tolerance": "1e-6", "seed": "2024"},
     "certify": {"x_density": "9", "circle_points": "64", "threshold": "1e-10",
                 "lipschitz_padding": "false"},
     "ibp": {"lambda": "50", "orders": "1 2", "tolerance": "1e-4",
             "nodes": "16", "xi": "3 -2 1 0.5"},
     "kernel": {"lambda": "100", "n_samples": "20", "oracle_tolerance": "0.01",
-               "oracle_nodes": "96", "seed": "7"},
+               "oracle_nodes": "120", "seed": "7"},
     "decay": {"lambda": "25 50 100 200 400 800", "family": "extremizer",
               "n_families": "20", "seed": "1234", "slope_target": "-1.5",
               "slope_tol": "0.15", "c_prime": "0.1", "max_freq": "2",

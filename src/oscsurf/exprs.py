@@ -42,29 +42,6 @@ class Expr:
     def is_zero(self):
         return False
 
-    # -- arithmetic sugar ---------------------------------------------------
-    def __add__(self, other):
-        return add(self, as_expr(other, self.dim))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(as_expr(other, self.dim), -1.0))
-
-    def __rsub__(self, other):
-        return add(as_expr(other, self.dim), scale(self, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other, self.dim))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other, self.dim))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def size(self):
         """Number of distinct nodes reachable from this one."""
         seen = set()
@@ -251,10 +228,6 @@ def div(a, b):
 
 def scale(a, c):
     return mul(Const(c, a.dim), a)
-
-
-def sqrt_expr(a):
-    return Sqrt(a)
 
 
 def evaluate_chunked(expr, pts, chunk=16384):

@@ -88,8 +88,16 @@ def grad_psi(inst, j0, points_on_m):
     return -np.delete(grad, j0, axis=-1) / grad[..., j0:j0 + 1]
 
 
+_GL_RULES = {}
+
+
 def gauss_legendre(n, lo, hi):
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    """n-node Gauss-Legendre rule on [lo, hi], as fresh arrays.  The [-1, 1]
+    rule (an eigenvalue solve) is computed once per n."""
+    n = int(n)
+    if n not in _GL_RULES:
+        _GL_RULES[n] = np.polynomial.legendre.leggauss(n)
+    x, w = _GL_RULES[n]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 

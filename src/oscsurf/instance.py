@@ -98,12 +98,9 @@ class ProblemInstance:
             # lenient at construction: degenerate test fields (e.g. the flat
             # hyperplane) are allowed to exist; strict checks live in
             # admissible_constants and in the operations that need them
-            try:
-                consts = admissible_constants(self, self.grid_density)
-            except HypothesisError:
-                self.implicit_ok = False
-                consts = admissible_constants(self, self.grid_density, strict=False)
+            consts = admissible_constants(self, self.grid_density, strict=False)
             self.c_rho, self.c_rho_inv, self.c_phi, self.c_amp = consts
+            self.implicit_ok = bool(np.isfinite(self.c_rho_inv))
 
     def require_implicit(self):
         if not self.implicit_ok:

@@ -65,6 +65,17 @@ def classify_region(lam, xi, c_split=0.25):
     return "Xi1" if min(s.r_j) <= c_split * max(s.r_j) else "Xi2"
 
 
+def _normal_split(inst, y, xi, lam):
+    """grad rho, v = lam grad Phi + 2 pi xi and tau_0 at a batch of points."""
+    pts = np.atleast_2d(np.asarray(y, dtype=float))
+    grad = inst.grad_rho(pts)
+    s = np.sum(grad * grad, axis=-1)
+    if np.any(s < 1e-16):
+        raise ConstraintError("gradient of rho vanishes at the sample")
+    vec = lam * inst.grad_phi(pts) + TWO_PI * np.asarray(xi, dtype=float)
+    return grad, vec, -np.sum(grad * vec, axis=-1) / s
+
+
 def tau0(inst, y, xi, lam):
     """The stationary value of the normal multiplier:
 
@@ -73,15 +84,16 @@ def tau0(inst, y, xi, lam):
     making lam grad Phi(y) + 2 pi xi + tau_0 grad rho(y) orthogonal to
     grad rho(y).
     """
-    y = np.asarray(y, dtype=float)
-    pts = np.atleast_2d(y)
-    grad = inst.grad_rho(pts)
-    s = np.sum(grad * grad, axis=-1)
-    if np.any(s < 1e-16):
-        raise ConstraintError("gradient of rho vanishes at the sample")
-    vec = lam * inst.grad_phi(pts) + TWO_PI * np.asarray(xi, dtype=float)
-    out = -np.sum(grad * vec, axis=-1) / s
-    return float(out[0]) if y.ndim == 1 else out
+    out = _normal_split(inst, y, xi, lam)[2]
+    return float(out[0]) if np.ndim(y) == 1 else out
+
+
+def normal_projection(inst, y, xi, lam):
+    """lam grad Phi(y) + 2 pi xi + tau_0 grad rho(y): the projection of the
+    phase gradient orthogonal to grad rho(y)."""
+    grad, vec, t0 = _normal_split(inst, y, xi, lam)
+    proj = vec + t0[:, None] * grad
+    return proj[0] if np.ndim(y) == 1 else proj
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +603,8 @@ def kernel_size_bound(inst, y, xi, lam, N):
     and j0 maximizing r_j (the bound holds for every j0; the largest r_{j0}
     gives the tightest version).
     """
-    from .tangent import projection_of_phase_gradient
     s = scales(lam, xi)
-    _, proj = projection_of_phase_gradient(inst, np.asarray(y, dtype=float),
-                                           np.asarray(xi, dtype=float), lam)
-    pnorm = float(np.linalg.norm(proj))
+    pnorm = float(np.linalg.norm(normal_projection(inst, y, xi, lam)))
     prod = 1.0
     for r in s.r_j:
         prod *= math.sqrt(r)

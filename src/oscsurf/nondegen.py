@@ -262,18 +262,10 @@ def psi_map(inst, p, v_fixed, lam, u, tau):
 
 
 def psi_jacobian(inst, p, v_fixed, lam, u, tau):
-    """Analytic Jacobian of the map w.r.t. (u, tau): bordered structure with
-    the circle direction replaced by (lambda, tau)."""
+    """Analytic Jacobian of the map w.r.t. (u, tau): the transposed
+    certificate matrix with the circle direction replaced by (lambda, tau)."""
     x = _assemble_from_blocks(p, u, v_fixed, inst.dim)
-    pts = np.atleast_2d(x)
-    d = inst.d
-    jac = np.zeros(pts.shape[:-1] + (d + 1, d + 1))
-    jac[..., 0, :d] = _partials(inst.rho, p.i_set, pts)
-    hess = (lam * _hessian(inst.phi, p.j_set, p.i_set, pts)
-            + tau * _hessian(inst.rho, p.j_set, p.i_set, pts))
-    jac[..., 1:, :d] = hess
-    jac[..., 1:, d] = _partials(inst.rho, p.j_set, pts)
-    return jac[0] if np.asarray(u).ndim == 1 else jac
+    return np.swapaxes(bordered_matrix(inst, p, x, lam, tau), -1, -2)
 
 
 def jacobian_homogeneity_probe(inst, p, v_fixed, u, lambda_tau_pairs,

@@ -28,18 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, HypothesisError
-from .exprs import Const, FieldTerm, add, as_expr, div, evaluate_chunked, mul, scale, sqrt_expr
+from .exprs import Const, FieldTerm, Sqrt, add, as_expr, div, evaluate_chunked, mul, scale
 from .fields import unit_index
 from .geometry import cached_chart
-
-_GRAD_FLOOR = 1e-8
+from .instance import GRADIENT_FLOOR, _grid_points
+from .kernel import normal_projection
 
 
 def _axis_gradient_infs(inst, density=7):
     """Per-axis grid infima of |d_j rho|, cached on the instance."""
     key = ("axis_grad_infs", density)
     if key not in inst._caches:
-        from .instance import _grid_points
         pts = _grid_points(inst.dim, inst.b1, density)
         inst._caches[key] = np.abs(inst.grad_rho(pts)).min(axis=0)
     return inst._caches[key]
@@ -98,9 +97,9 @@ class TangentField:
         # fields whose denominators the per-axis grid infima cannot certify
         infs = _axis_gradient_infs(self.inst)
         if self.index is not None:
-            ok = float(infs.max()) >= _GRAD_FLOOR  # |grad rho|^2 >= max_j inf_j^2
+            ok = float(infs.max()) >= GRADIENT_FLOOR  # |grad rho|^2 >= max_j inf_j^2
         else:
-            ok = float(max(infs[self.pair[0]], infs[self.pair[1]])) >= _GRAD_FLOOR
+            ok = float(max(infs[self.pair[0]], infs[self.pair[1]])) >= GRADIENT_FLOOR
         if not ok:
             raise HypothesisError(
                 "the field's normalizing gradient data vanishes somewhere on "
@@ -124,7 +123,7 @@ class TangentField:
                         coeffs.append(scale(c, -1.0))
             else:
                 j1, j2 = self.pair
-                norm = sqrt_expr(add(mul(g[j1], g[j1]), mul(g[j2], g[j2])))
+                norm = Sqrt(add(mul(g[j1], g[j1]), mul(g[j2], g[j2])))
                 coeffs = [Const(0.0, dim) for _ in range(dim)]
                 coeffs[j1] = div(g[j2], norm)
                 coeffs[j2] = scale(div(g[j1], norm), -1.0)
@@ -160,22 +159,23 @@ class TangentField:
         return self.apply(self.inst.rho).value(np.asarray(pts, dtype=float))
 
 
-def apply_X(field, f, x):
-    """Value of X f at x (accepts one point or a batch)."""
+def _value_at(expr, x):
+    """Value of an expression at one point or a batch of points."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    vals = field.apply(f).value(pts)
+    vals = expr.value(pts)
     if np.isscalar(vals):
         vals = np.full(len(pts), vals)
     return vals[0] if np.asarray(x).ndim == 1 else vals
+
+
+def apply_X(field, f, x):
+    """Value of X f at x (accepts one point or a batch)."""
+    return _value_at(field.apply(f), x)
 
 
 def apply_X_star(field, f, x):
     """Value of the dual operator applied to f at x."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    vals = field.apply_dual(f).value(pts)
-    if np.isscalar(vals):
-        vals = np.full(len(pts), vals)
-    return vals[0] if np.asarray(x).ndim == 1 else vals
+    return _value_at(field.apply_dual(f), x)
 
 
 def phase_with_modulation(inst, lam, xi):
@@ -208,13 +208,7 @@ def projection_of_phase_gradient(inst, y, xi, lam):
     lam grad Phi(y) + 2 pi xi onto the complement of grad rho(y)."""
     y = np.asarray(y, dtype=float)
     pts = np.atleast_2d(y)
-    xi = np.asarray(xi, dtype=float)
-    grad_rho = inst.grad_rho(pts)
-    vec = lam * inst.grad_phi(pts) + 2.0 * np.pi * xi
-    coef = np.sum(vec * grad_rho, axis=-1, keepdims=True) \
-        / np.sum(grad_rho * grad_rho, axis=-1, keepdims=True)
-    proj = vec - coef * grad_rho
-
+    proj = normal_projection(inst, pts, xi, lam)
     phase = phase_with_modulation(inst, lam, xi)
     applied = np.stack(
         [TangentField(inst, index=i).apply(phase).value(pts)
@@ -245,15 +239,21 @@ def l_operator(field, phase, k_tilde, psi):
     return add(field.apply_dual(psi), scale(mul(bracket, psi), -1.0))
 
 
-def _integrate_surface(inst, expr_or_callable, phase, chart):
-    pts = chart.points
-    phase_vals = evaluate_chunked(as_expr(phase), pts) if phase is not None else 0.0
-    osc = np.exp(1j * phase_vals) if phase is not None else 1.0
-    if callable(expr_or_callable) and not hasattr(expr_or_callable, "value"):
-        vals = expr_or_callable(pts)
-    else:
-        vals = evaluate_chunked(as_expr(expr_or_callable), pts)
+def _integrate_surface(f, phase, chart):
+    """int_M e^{i phase} f dsigma on the chart; f an expression or a field."""
+    osc = np.exp(1j * evaluate_chunked(as_expr(phase), chart.points))
+    vals = evaluate_chunked(as_expr(f), chart.points)
     return complex(np.sum(chart.weights * osc * vals))
+
+
+def _probe_chart(inst, psi, nodes, boxes, j0):
+    """The chart axis (default the last), the slice boxes (default the
+    support of psi) and the chart both identity probes integrate on."""
+    if j0 is None:
+        j0 = inst.dim - 1
+    if boxes is None:
+        boxes = _psi_boxes(psi, inst, j0)
+    return j0, boxes, cached_chart(inst, j0, boxes, nodes)
 
 
 def ibp_identity_check(inst, phase, psi, field, k_tilde, N,
@@ -270,11 +270,7 @@ def ibp_identity_check(inst, phase, psi, field, k_tilde, N,
         raise ConstraintError("the shift constant must be nonzero")
     if not 1 <= N <= 3:
         raise ConstraintError("iterated identity supported for N in 1..3")
-    if j0 is None:
-        j0 = inst.dim - 1
-    if boxes is None:
-        boxes = _psi_boxes(psi, inst, j0)
-    chart = cached_chart(inst, j0, boxes, nodes)
+    j0, boxes, chart = _probe_chart(inst, psi, nodes, boxes, j0)
     if k_tilde is None:
         center = np.array([0.5 * (lo + hi) for lo, hi in boxes])
         slice_pts = np.delete(chart.points, j0, axis=1)
@@ -284,11 +280,11 @@ def ibp_identity_check(inst, phase, psi, field, k_tilde, N,
         if k_tilde == 0:
             k_tilde = 1j
 
-    lhs = _integrate_surface(inst, psi, phase, chart)
+    lhs = _integrate_surface(psi, phase, chart)
     ln_psi = as_expr(psi)
     for _ in range(N):
         ln_psi = l_operator(field, phase, k_tilde, ln_psi)
-    rhs = complex(k_tilde) ** (-N) * _integrate_surface(inst, ln_psi, phase, chart)
+    rhs = complex(k_tilde) ** (-N) * _integrate_surface(ln_psi, phase, chart)
     floor = 1e-30
     rel = abs(lhs - rhs) / max(abs(lhs), floor)
     return IBPReport(N=N, lhs=lhs, rhs=rhs, rel_error=rel)
@@ -307,14 +303,10 @@ def decay_bound_probe(inst, phase, psi, field, N, K,
         raise ConstraintError("the reference constant K must be nonzero")
     if N < 1:
         raise ConstraintError("the bound is stated for positive N")
-    if j0 is None:
-        j0 = inst.dim - 1
-    if boxes is None:
-        boxes = _psi_boxes(psi, inst, j0)
-    chart = cached_chart(inst, j0, boxes, nodes)
+    chart = _probe_chart(inst, psi, nodes, boxes, j0)[2]
     pts = chart.points
 
-    lhs = abs(_integrate_surface(inst, psi, phase, chart))
+    lhs = abs(_integrate_surface(psi, phase, chart))
 
     phase = as_expr(phase)
     xphase = field.apply(phase)

@@ -99,9 +99,7 @@ class Coefficients:
     def evaluate(self, xi):
         """V f(., xi): per-cell constant in xi; zero on cell boundaries."""
         cell = locate(self.tiling, xi)
-        if cell is None:
-            return self.grid.copy_with(np.zeros(self.grid.n, dtype=complex))
-        if cell not in self.spectral:
+        if cell is None or cell not in self.spectral:
             return self.grid.copy_with(np.zeros(self.grid.n, dtype=complex))
         return self.cell_function(cell)
 
@@ -223,10 +221,7 @@ class WavePacket:
 
     def l2_norm(self):
         """Equals the window norm: the dilation is unitary."""
-        half = self.support_half_width
-        nodes, wts = np.polynomial.legendre.leggauss(400)
-        x = half * nodes
-        return math.sqrt(half * float(np.sum(np.abs(self(x)) ** 2 * wts)))
+        return self.window.l2_norm
 
 
 def packet_for(w, t, xi):

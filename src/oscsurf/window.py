@@ -15,6 +15,7 @@ Fourier convention throughout: F(u) = integral f(x) exp(-2 pi i x u) dx.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import WindowConstructionError
+from .geometry import gauss_legendre
 
 BUMP_HALF = 0.125  # support half-width of the base bump
 SUPPORT_HALF = 0.25  # support half-width of its autocorrelation
@@ -75,35 +77,32 @@ def bump_deriv(k, t, half=BUMP_HALF):
     return unit_bump_deriv(k, np.asarray(t, dtype=float) / half) / half**k
 
 
-_GL_CACHE = {}
-
-
-def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _autocorr_deriv(k, x, n_gl=160):
+def _autocorr_deriv(k, x):
     """(g * g^(k))(x) over the overlap interval, vectorized in x."""
     x = np.asarray(x, dtype=float)
     lo = np.maximum(-BUMP_HALF, x - BUMP_HALF)
     hi = np.minimum(BUMP_HALF, x + BUMP_HALF)
     width = hi - lo
-    nodes, wts = _gl(n_gl)
+    nodes, wts = gauss_legendre(160, -1.0, 1.0)
     t = lo[..., None] + 0.5 * width[..., None] * (nodes + 1.0)
     vals = bump_deriv(0, t) * bump_deriv(k, x[..., None] - t)
     out = 0.5 * width * np.sum(vals * wts, axis=-1)
     return np.where(width > 0.0, out, 0.0)
 
 
-def _bump_transform(u, n_gl=256):
+@functools.cache
+def _bump_samples():
+    """Nodes t, bump values g(t) and weights of the 256-node transform rule."""
+    nodes, wts = gauss_legendre(256, -1.0, 1.0)
+    t = BUMP_HALF * nodes
+    return t, bump_deriv(0, t), wts
+
+
+def _bump_transform(u):
     """Real transform of the base bump: integral over its support of
     g(t) cos(2 pi u t) dt (g is even)."""
     u = np.asarray(u, dtype=float)
-    nodes, wts = _gl(n_gl)
-    t = BUMP_HALF * nodes
-    g = bump_deriv(0, t)
+    t, g, wts = _bump_samples()
     return BUMP_HALF * np.sum(g * np.cos(2.0 * np.pi * u[..., None] * t) * wts,
                               axis=-1)
 
@@ -123,29 +122,26 @@ class Window:
     profile: str = "autocorr-bump"
     _spline: object = field(default=None, repr=False)
 
-    def phi(self, x):
-        """Time-domain window, exactly zero outside the support."""
+    def _on_support(self, x, fn):
+        """fn on the points inside the open support, exact zeros elsewhere."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         out = np.zeros_like(x)
         m = np.abs(x) < self.support_half_width
         if np.any(m):
-            out[m] = self._spline(x[m])
+            out[m] = fn(x[m])
         return out[0] if scalar else out
+
+    def phi(self, x):
+        """Time-domain window, exactly zero outside the support."""
+        return self._on_support(x, self._spline)
 
     def phi_deriv(self, k, x):
         """Exact k-th derivative via quadrature of g * g^(k)."""
         if k == 0:
             return self.phi(x)
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.zeros_like(x)
-        m = np.abs(x) < self.support_half_width
-        if np.any(m):
-            out[m] = self.scale * _autocorr_deriv(k, x[m])
-        return out[0] if scalar else out
+        return self._on_support(x, lambda xm: self.scale * _autocorr_deriv(k, xm))
 
     def phi_hat(self, u):
         """Transform of the window: scale * (bump transform)^2, nonnegative."""
@@ -180,7 +176,7 @@ def make_window(profile="autocorr-bump", grid=2**14):
     xgrid = np.linspace(-SUPPORT_HALF, SUPPORT_HALF, int(grid) + 1)
     samples = scale * _autocorr_deriv(0, xgrid)
     spline = CubicSpline(xgrid, samples, bc_type="natural")
-    nodes, wts = _gl(400)
+    nodes, wts = gauss_legendre(400, -1.0, 1.0)
     l2 = math.sqrt(SUPPORT_HALF * float(np.sum(spline(SUPPORT_HALF * nodes) ** 2 * wts)))
 
     w = Window(

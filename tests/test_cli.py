@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 
@@ -234,3 +235,73 @@ skip = reconstruction analysis-bound packet-scaling jacobian-homogeneity
 def test_config_loader_rejects_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.ini")
+
+
+def test_ibp_rerun_gives_the_same_bytes(tmp_path):
+    code, out, _ = run(tmp_path, "ibp")
+    assert code == 0
+    first = (out / "ibp_report.csv").read_bytes()
+    code, out, _ = run(tmp_path, "ibp")
+    assert code == 0
+    second = (out / "ibp_report.csv").read_bytes()
+    assert second == first
+    lines = second.decode().splitlines()
+    assert lines[0].startswith("N,lambda,") and len(lines) == 3
+
+
+def test_reconstruct_subcommand(tmp_path):
+    cfg = write_config(tmp_path, """
+[reconstruct]
+n_signals = 2
+""")
+    code, _, manifest = run(tmp_path, "reconstruct", "--config", cfg)
+    assert code == 0
+    assert [c["name"] for c in manifest["checks"]] == ["reconstruction",
+                                                       "analysis-bound"]
+    assert all(c["status"] == "pass" for c in manifest["checks"])
+
+
+def test_kernel_subcommand(tmp_path):
+    cfg = write_config(tmp_path, """
+[kernel]
+n_samples = 1
+""")
+    code, out, manifest = run(tmp_path, "kernel", "--config", cfg)
+    assert code == 0
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert list(checks) == ["kernel-diagnostics", "kernel-probe"]
+    assert checks["kernel-diagnostics"]["elapsed_s"] >= 0.0
+    lines = (out / "kernel_probe.csv").read_text().splitlines()
+    assert lines[0] == "region,abs_value,size_bound,ratio,rapid_bound,rapid_ratio"
+    assert len(lines) == 2
+
+
+def test_config_defaults_match_the_checks():
+    # a subcommand that runs a selftest check with the config defaults runs
+    # it exactly as the acceptance battery does
+    from oscsurf import selftest
+
+    def defaults(fn):
+        return {k: p.default for k, p in
+                inspect.signature(fn).parameters.items()}
+
+    kern = defaults(selftest.check_kernel_diagnostics)
+    assert {"lambda": float(kern["lam"]), "n_samples": kern["n_samples"],
+            "oracle_tolerance": kern["tol"],
+            "oracle_nodes": kern["oracle_nodes"], "seed": kern["seed"]} == {
+        k: float(v) for k, v in DEFAULTS["kernel"].items()}
+    rec = defaults(selftest.check_reconstruction)
+    ana = defaults(selftest.check_analysis_bound)
+    for fn in (rec, ana):
+        assert fn["n_signals"] == int(DEFAULTS["reconstruct"]["n_signals"])
+        assert fn["seed"] == int(DEFAULTS["reconstruct"]["seed"])
+        assert fn["band_frac"] == float(DEFAULTS["reconstruct"]["xi_band"])
+    assert rec["tol"] == float(DEFAULTS["reconstruct"]["tolerance"])
+    assert set(DEFAULTS["reconstruct"]) == {"n_signals", "seed", "xi_band",
+                                            "tolerance"}
+    slope = defaults(selftest.check_sharpness_slope)
+    assert slope["target"] == float(DEFAULTS["decay"]["slope_target"])
+    assert slope["tol"] == float(DEFAULTS["decay"]["slope_tol"])
+    upper = defaults(selftest.check_upper_bound)
+    assert upper["n_families"] == int(DEFAULTS["decay"]["n_families"])
+    assert upper["seed"] == int(DEFAULTS["decay"]["seed"])

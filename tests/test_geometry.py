@@ -7,6 +7,7 @@ from oscsurf.errors import ConstraintError, HypothesisError, NoRootError
 from oscsurf.fields import BumpField, PolynomialField
 from oscsurf.geometry import (
     build_chart,
+    gauss_legendre,
     grad_psi,
     graph_solve,
     size_bound_check,
@@ -78,6 +79,22 @@ def test_gradient_floor_violation_raises():
         admissible_constants(flat, 3)
     with pytest.raises(HypothesisError):
         flat.require_implicit()
+
+
+@pytest.mark.parametrize("n", [1, 7, 160, 256])
+def test_gauss_legendre_is_the_mapped_rule(n):
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    for lo, hi in [(-1.0, 1.0), (-0.125, 0.125), (0.3, 2.7)]:
+        x, w = gauss_legendre(n, lo, hi)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        assert x.tobytes() == (mid + half * x_ref).tobytes()
+        assert w.tobytes() == (half * w_ref).tobytes()
+        # callers get fresh arrays: writing to one leaves the next call alone
+        x[:] = np.nan
+        w[:] = np.nan
+        x2, w2 = gauss_legendre(n, lo, hi)
+        assert x2.tobytes() == (mid + half * x_ref).tobytes()
+        assert w2.tobytes() == (half * w_ref).tobytes()
 
 
 # -- graph solve -------------------------------------------------------------

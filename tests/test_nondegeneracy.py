@@ -213,6 +213,42 @@ def test_jacobian_matches_finite_differences(paper):
     assert np.max(np.abs(jac - fd)) < 1e-6
 
 
+@pytest.mark.parametrize("name", ["paper-even-d2", "paper-odd-d3"])
+def test_jacobian_is_transposed_bordered_matrix(name):
+    # reference: the Jacobian's blocks assembled entry by entry from the
+    # field derivatives; psi_jacobian must equal it and the transposed
+    # certificate matrix bit for bit
+    inst = make_instance(name, b0=0.3, b1=0.5)
+    d, dim = inst.d, inst.dim
+    rng = np.random.default_rng(11)
+
+    def partial(fld, x, *axes):
+        alpha = [0] * dim
+        for a in axes:
+            alpha[a] += 1
+        return fld.deriv(tuple(alpha), x[None, :])[0]
+
+    for p in all_partitions(d):
+        for _ in range(5):
+            u, v = rng.uniform(-0.4, 0.4, size=(2, d))
+            lam, tau = rng.uniform(-50.0, 50.0, size=2)
+            x = np.empty(dim)
+            x[list(p.i_set)] = u
+            x[list(p.j_set)] = v
+            ref = np.zeros((d + 1, d + 1))
+            for a, i in enumerate(p.i_set):
+                ref[0, a] = partial(inst.rho, x, i)
+                for b, j in enumerate(p.j_set):
+                    ref[1 + b, a] = (lam * partial(inst.phi, x, j, i)
+                                     + tau * partial(inst.rho, x, j, i))
+            for b, j in enumerate(p.j_set):
+                ref[1 + b, d] = partial(inst.rho, x, j)
+            jac = psi_jacobian(inst, p, v, lam, u, tau)
+            mat = bordered_matrix(inst, p, x, lam, tau)
+            assert jac.tobytes() == ref.tobytes()
+            assert jac.tobytes() == mat.T.tobytes()
+
+
 def test_homogeneity_ray_constancy(paper):
     u0 = np.array([0.05, -0.08])
     v0 = np.array([0.1, 0.02])

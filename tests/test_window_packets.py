@@ -9,6 +9,7 @@ from oscsurf.errors import (
     ConstraintError,
     WindowConstructionError,
 )
+from oscsurf.geometry import gauss_legendre
 from oscsurf.tiling import build_tiling
 from oscsurf.wavepackets import (
     WavePacket,
@@ -78,9 +79,15 @@ def test_phi_deriv_matches_difference_quotient(w):
 # -- packets ------------------------------------------------------------------
 
 def test_packet_norm_matches_window_for_all_cells(w, t10):
+    # l2_norm returns the window norm by unitarity of the dilation; integrate
+    # |pk|^2 over the packet support to check that it holds for every cell
     for cell in t10.cells:
         pk = WavePacket(window=w, cell=cell)
-        assert pk.l2_norm() == pytest.approx(w.l2_norm, abs=1e-8)
+        h = pk.support_half_width
+        x, wts = gauss_legendre(400, -h, h)
+        direct = math.sqrt(float(np.sum(np.abs(pk(x)) ** 2 * wts)))
+        assert direct == pytest.approx(w.l2_norm, abs=1e-8)
+        assert pk.l2_norm() == w.l2_norm
 
 
 def test_packet_support_containment(w, t10):
