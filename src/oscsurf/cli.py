@@ -148,14 +148,17 @@ def cmd_window(cfg, manifest, args):
 
 def cmd_reconstruct(cfg, manifest, args):
     from .selftest import check_analysis_bound, check_reconstruction
+    from .window import make_window
     seed = args.seed if args.seed is not None else cfg.get_int("reconstruct", "seed")
     tol = cfg.get_float("reconstruct", "tolerance")
     n = cfg.get_int("reconstruct", "n_signals")
     frac = cfg.get_float("reconstruct", "xi_band")
-    res = check_reconstruction(n_signals=n, tol=tol, seed=seed, band_frac=frac)
-    manifest.check(res.name, res.status, res.detail)
-    res2 = check_analysis_bound(n_signals=n, seed=seed, band_frac=frac)
-    manifest.check(res2.name, res2.status, res2.detail)
+    w = make_window()  # one window for both criteria
+    for res in (check_reconstruction(n_signals=n, tol=tol, seed=seed,
+                                     band_frac=frac, w=w),
+                check_analysis_bound(n_signals=n, seed=seed, band_frac=frac,
+                                     w=w)):
+        manifest.check(res.name, res.status, res.detail, elapsed=res.elapsed)
 
 
 def cmd_certify(cfg, manifest, args):
@@ -215,35 +218,21 @@ def cmd_ibp(cfg, manifest, args):
 
 
 def cmd_kernel(cfg, manifest, args):
-    from .geometry import graph_solve
     from .kernel import kernel_decay_probe
     from .selftest import check_kernel_diagnostics
-    from .tiling import build_tiling, locate
-    from .window import make_window
+    inst = _instance_from_config(cfg)
     lam = (args.lam or [cfg.get_float("kernel", "lambda")])[0]
     seed = args.seed if args.seed is not None else cfg.get_int("kernel", "seed")
-    n_samples = cfg.get_int("kernel", "n_samples")
     res = check_kernel_diagnostics(
-        n_samples=n_samples, lam=lam,
+        n_samples=cfg.get_int("kernel", "n_samples"), lam=lam,
         tol=cfg.get_float("kernel", "oracle_tolerance"),
-        oracle_nodes=cfg.get_int("kernel", "oracle_nodes"), seed=seed)
+        oracle_nodes=cfg.get_int("kernel", "oracle_nodes"), seed=seed,
+        inst=inst)
     manifest.check(res.name, res.status, res.detail, elapsed=res.elapsed)
 
-    # probe table: measured kernel size against the stationary-phase majorant
-    inst = _instance_from_config(cfg)
-    w = make_window()
-    t = build_tiling(lam, 6 * lam)
-    rng = np.random.default_rng(seed)
-    samples = []
-    while len(samples) < n_samples:
-        y = rng.uniform(-0.5 * inst.b0, 0.5 * inst.b0, size=inst.dim)
-        y[-1] = graph_solve(inst, inst.dim - 1, y[:-1])
-        xi = rng.uniform(-3 * lam, 3 * lam, size=inst.dim)
-        xi = np.where(np.abs(xi % t.n0) < 0.25, xi + 0.37 * t.n0, xi)
-        if any(locate(t, float(x)) is None for x in xi):
-            continue
-        samples.append((y, xi))
-    rows = kernel_decay_probe(inst, w, t, samples, lam, N=3)
+    # probe table: criterion 11's kernel values against the stationary-phase
+    # majorant
+    rows = kernel_decay_probe(inst, res.extras["samples"], lam, N=3)
     _write_csv(manifest.artifact("kernel_probe.csv"),
                ["region", "abs_value", "size_bound", "ratio",
                 "rapid_bound", "rapid_ratio"],
@@ -258,40 +247,31 @@ def cmd_kernel(cfg, manifest, args):
 
 
 def cmd_decay(cfg, manifest, args):
-    from .kernel import decay_fit, extremizer_family, random_bump_family
+    from .selftest import check_sharpness_slope, check_upper_bound
     inst = _instance_from_config(cfg)
     lams = args.lam or cfg.get_floats("decay", "lambda")
     if len(lams) < 4:
         raise ConfigError("decay sweeps need at least four frequencies")
     family_kind = cfg.get("decay", "family")
     seed = args.seed if args.seed is not None else cfg.get_int("decay", "seed")
-    target = cfg.get_float("decay", "slope_target")
-    tol = cfg.get_float("decay", "slope_tol")
-
-    reports = []
     if family_kind == "extremizer":
         # the slope target applies to the raw family; norms are reported
-        fam = extremizer_family(inst, c_prime=cfg.get_float("decay", "c_prime"))
-        rep = decay_fit(inst, fam, lams)
-        reports.append(("extremizer", rep))
-        manifest.check("decay-slope",
-                       "pass" if abs(rep.slope - target) <= tol else "fail",
-                       f"slope {rep.slope!r} target {target} +- {tol}")
+        res = check_sharpness_slope(
+            target=cfg.get_float("decay", "slope_target"),
+            tol=cfg.get_float("decay", "slope_tol"), inst=inst, lambdas=lams,
+            c_prime=cfg.get_float("decay", "c_prime"))
+        name, reports = "decay-slope", [("extremizer", res.extras["report"])]
     elif family_kind == "bumps":
-        rng = np.random.default_rng(seed)
-        violations = 0
-        for k in range(cfg.get_int("decay", "n_families")):
-            fam = random_bump_family(inst, rng,
-                                     max_freq=cfg.get_float("decay", "max_freq"),
-                                     normalized=cfg.get_bool("decay", "normalized"))
-            rep = decay_fit(inst, fam, lams)
-            reports.append((f"bumps-{k}", rep))
-            violations += int(rep.growth_violation)
-        manifest.check("decay-upper-bound",
-                       "pass" if violations == 0 else "fail",
-                       f"{violations} growth violations")
+        res = check_upper_bound(
+            n_families=cfg.get_int("decay", "n_families"), seed=seed,
+            inst=inst, lambdas=lams,
+            max_freq=cfg.get_float("decay", "max_freq"),
+            normalized=cfg.get_bool("decay", "normalized"))
+        name, reports = "decay-upper-bound", [
+            (f"bumps-{k}", rep) for k, rep in enumerate(res.extras["reports"])]
     else:
         raise ConfigError(f"unknown decay family {family_kind!r}")
+    manifest.check(name, res.status, res.detail, elapsed=res.elapsed)
 
     rows = []
     for label, rep in reports:

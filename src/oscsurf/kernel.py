@@ -361,6 +361,17 @@ def _tensor_value(inst, factors, lam, j0, boxes, quad, scale):
             len(chart.points))
 
 
+def _estimate(inst, factors, lam, j0, boxes, quad, second):
+    """Estimate 0 or 1 of the slice integral, as (value, nodes): a Sobol
+    scramble (quad.qmc_seeds[second]) for charts of dimension above three,
+    else the tensor rule, refined by quad.refine_factor for estimate 1."""
+    if inst.dim - 1 > 3:
+        return _qmc_value(inst, factors, lam, j0, boxes, quad,
+                          quad.qmc_seeds[second])
+    return _tensor_value(inst, factors, lam, j0, boxes, quad,
+                         quad.refine_factor if second else 1.0)
+
+
 def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
     """Surface-quadrature value of the multilinear functional at frequency lam.
 
@@ -386,20 +397,12 @@ def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
     # a first estimate a and, unless quad.check is off, a second one b to
     # compare it with: another Sobol scramble (the mean is kept) or the
     # refined tensor rule (its value is kept)
-    qmc = inst.dim - 1 > 3
-
-    def estimate(second):
-        if qmc:
-            return _qmc_value(inst, factors, lam, j0, boxes, quad,
-                              quad.qmc_seeds[second])
-        return _tensor_value(inst, factors, lam, j0, boxes, quad,
-                             quad.refine_factor if second else 1.0)
-
-    a, n_used = estimate(0)
+    a, n_used = _estimate(inst, factors, lam, j0, boxes, quad, 0)
     value = a
     if quad.check:
-        b, n_b = estimate(1)
-        value, n_used = (0.5 * (a + b), n_used + n_b) if qmc else (b, n_b)
+        b, n_b = _estimate(inst, factors, lam, j0, boxes, quad, 1)
+        value, n_used = ((0.5 * (a + b), n_used + n_b) if inst.dim - 1 > 3
+                         else (b, n_b))
     if diagnostics is not None:
         if quad.check:
             mismatch = abs(a - b) / max(abs(value), 1e-300)
@@ -486,7 +489,9 @@ def _packet_setup(inst, w, t, y, xi, j0):
 
 
 def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None):
-    """The packet kernel: the functional evaluated on 2d shifted packets.
+    """The packet kernel: the functional evaluated on 2d shifted packets,
+    by the first estimate of eval_I's rule (the tensor rule for d = 2, one
+    Sobol scramble for d = 3).
 
     Exact zero short-circuits: some packet support misses the amplitude box
     (covers y outside the domain), or the surface misses the support box
@@ -496,8 +501,8 @@ def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None):
     if setup is None:
         return 0.0 + 0.0j
     factors, j0, slice_boxes = setup
-    return _tensor_value(inst, factors, lam, j0, slice_boxes,
-                         quad or DEFAULT_QUAD, 1.0)[0]
+    return _estimate(inst, factors, lam, j0, slice_boxes,
+                     quad or DEFAULT_QUAD, 0)[0]
 
 
 _ORACLE_BLOCK = 1 << 15  # slice points per oracle block
@@ -611,17 +616,17 @@ def kernel_size_bound(inst, y, xi, lam, N):
     return (1.0 + s.r_tilde * pnorm) ** (-N) * prod / max(s.r_j)
 
 
-def kernel_decay_probe(inst, w, t, samples, lam, N, c_split=0.25, quad=None):
+def kernel_decay_probe(inst, samples, lam, N, c_split=0.25):
     """Measured kernel size against the stationary-phase majorant per sample.
 
-    samples: iterable of (y, xi).  For unbalanced-regime samples the rapid
-    decay bound (|lam| + |xi|)^(-(N-1)/2) |lam|^(-d/2) is also reported.
+    samples: iterable of (y, xi, value), value the kernel at (y, xi).  For
+    unbalanced-regime samples the rapid decay bound
+    (|lam| + |xi|)^(-(N-1)/2) |lam|^(-d/2) is also reported.
     """
     if N > 2 * inst.d + 2:
         raise ConstraintError("derivative order exceeds the stated regularity")
     rows = []
-    for y, xi in samples:
-        val = kernel_eval(inst, w, t, y, xi, lam, quad=quad)
+    for y, xi, val in samples:
         bound = kernel_size_bound(inst, y, xi, lam, N)
         region = classify_region(lam, xi, c_split)
         row = KernelProbeRow(y=tuple(np.asarray(y, float)),

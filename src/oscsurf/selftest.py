@@ -1,8 +1,9 @@
 """The acceptance battery: every exit criterion as a callable check.
 
 Each check returns a CheckResult with a pass flag and a one-line detail; the
-command-line selftest and the pytest acceptance module both consume these, so
-the battery is defined once.  Tolerances are pinned here and nowhere else.
+selftest, the pytest acceptance module and the subcommands that take the
+configured instance all consume these, so each criterion is defined once.
+Tolerances are pinned here and nowhere else.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, kernel, nondegen, tangent, tiling, wavepackets
+from .errors import ConstraintError
 from .fields import BumpField
 from .instance import make_instance
 from .window import make_window
@@ -84,10 +86,11 @@ def _band_limited_signals(n_signals, seed, band_frac):
 
 
 @_timed
-def check_reconstruction(n_signals=50, tol=1e-6, seed=2024, band_frac=0.8):
+def check_reconstruction(n_signals=50, tol=1e-6, seed=2024, band_frac=0.8,
+                         w=None):
     """Round-trip error of synthesis(analysis(f)) over random band-limited
-    signals at lambda in {1, 10, 100}."""
-    w = make_window()
+    signals at lambda in {1, 10, 100}, with window w (default make_window())."""
+    w = w if w is not None else make_window()
     worst = max((wavepackets.round_trip_error(w, t, f)
                  for t, f in _band_limited_signals(n_signals, seed, band_frac)),
                 default=0.0)
@@ -97,10 +100,11 @@ def check_reconstruction(n_signals=50, tol=1e-6, seed=2024, band_frac=0.8):
 
 
 @_timed
-def check_analysis_bound(n_signals=50, slack=1e-6, seed=2024, band_frac=0.8):
+def check_analysis_bound(n_signals=50, slack=1e-6, seed=2024, band_frac=0.8,
+                         w=None):
     """Energy bound of the analysis map against 1/fourier_floor, over the
     signals of check_reconstruction."""
-    w = make_window()
+    w = w if w is not None else make_window()
     bound = w.analysis_norm_constant + slack
     worst = max((wavepackets.analysis(w, t, f).norm_squared() / f.norm() ** 2
                  for t, f in _band_limited_signals(n_signals, seed, band_frac)),
@@ -278,11 +282,13 @@ def check_adjoint_tangency(n_points=10**4, n_pairs=20, tangency_tol=1e-8,
 # -- 9 ----------------------------------------------------------------------
 
 @_timed
-def check_sharpness_slope(target=-1.5, tol=0.15):
-    """Fitted log-log slope of the extremizer family over the sweep."""
-    inst = _paper_instance()
-    fam = kernel.extremizer_family(inst)
-    rep = kernel.decay_fit(inst, fam, LAMBDA_SWEEP)
+def check_sharpness_slope(target=-1.5, tol=0.15, inst=None, lambdas=None,
+                          c_prime=0.1):
+    """Fitted log-log slope of the extremizer family over the sweep
+    (default: the paper instance over LAMBDA_SWEEP)."""
+    inst = inst or _paper_instance()
+    fam = kernel.extremizer_family(inst, c_prime=c_prime)
+    rep = kernel.decay_fit(inst, fam, lambdas or LAMBDA_SWEEP)
     passed = abs(rep.slope - target) <= tol
     return CheckResult("sharpness-slope", passed,
                        f"slope {rep.slope:.4f} (target {target} +- {tol}); "
@@ -293,56 +299,61 @@ def check_sharpness_slope(target=-1.5, tol=0.15):
 # -- 10 ---------------------------------------------------------------------
 
 @_timed
-def check_upper_bound(n_families=20, seed=1234):
-    """Scaled upper ratios of random normalized bump families across the
-    sweep: bounded, with no monotone tenfold growth."""
-    inst = _paper_instance()
+def check_upper_bound(n_families=20, seed=1234, inst=None, lambdas=None,
+                      max_freq=2.0, normalized=True):
+    """Scaled upper ratios of random bump families across the sweep
+    (default: the paper instance over LAMBDA_SWEEP): bounded, with no
+    monotone tenfold growth."""
+    inst = inst or _paper_instance()
     rng = np.random.default_rng(seed)
-    worst_ratio = 0.0
-    violations = 0
-    slopes = []
+    reports = []
     for _ in range(n_families):
-        fam = kernel.random_bump_family(inst, rng, normalized=True)
-        rep = kernel.decay_fit(inst, fam, LAMBDA_SWEEP)
-        worst_ratio = max(worst_ratio, rep.upper_ratio_max)
-        violations += int(rep.growth_violation)
-        slopes.append(rep.slope)
+        fam = kernel.random_bump_family(inst, rng, max_freq=max_freq,
+                                        normalized=normalized)
+        reports.append(kernel.decay_fit(inst, fam, lambdas or LAMBDA_SWEEP))
+    worst_ratio = max((r.upper_ratio_max for r in reports), default=0.0)
+    violations = sum(r.growth_violation for r in reports)
+    slopes = [r.slope for r in reports] or [math.nan]
     return CheckResult("upper-bound", violations == 0,
                        f"{n_families} families, max scaled ratio "
                        f"{worst_ratio:.4g}, {violations} growth violations, "
                        f"slopes in [{min(slopes):.2f}, {max(slopes):.2f}]",
-                       extras={"worst_ratio": worst_ratio})
+                       extras={"worst_ratio": worst_ratio, "reports": reports})
 
 
 # -- 11 ---------------------------------------------------------------------
 
 @_timed
 def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
-                             oracle_nodes=120, seed=7):
+                             oracle_nodes=120, seed=7, inst=None):
     """Kernel values against the independent dense oracle, plus the exact
-    vanishing short-circuits."""
-    inst = _paper_instance()
+    vanishing short-circuits, on a d = 2 instance (default: the paper
+    instance).  extras["samples"] holds the (y, xi, kernel value) triples."""
+    inst = inst or _paper_instance()
+    if inst.d != 2:
+        raise ConstraintError(
+            f"kernel diagnostics need d = 2 (got d = {inst.d}): the dense "
+            f"oracle grid has oracle_nodes^(2d-1) points")
     w = make_window()
     t = tiling.build_tiling(lam, 6 * lam)
     rng = np.random.default_rng(seed)
-    n0 = t.n0
+    samples = []
     worst = 0.0
-    drawn = 0
-    while drawn < n_samples:
-        ys = rng.uniform(-0.15, 0.15, size=4)
-        ys[3] = geometry.graph_solve(inst, 3, ys[:3])
-        if abs(ys[3]) > inst.b0:
+    while len(samples) < n_samples:
+        # y on M, free coordinates in +-b0/2; xi off cell boundaries
+        y = rng.uniform(-0.5 * inst.b0, 0.5 * inst.b0, size=inst.dim)
+        y[-1] = geometry.graph_solve(inst, inst.dim - 1, y[:-1])
+        if abs(y[-1]) > inst.b0:
             continue
-        xi = rng.uniform(-3 * lam, 3 * lam, size=4)
-        xi = np.where(np.abs(xi % n0) < 0.25, xi + 0.37 * n0, xi)
+        xi = rng.uniform(-3 * lam, 3 * lam, size=inst.dim)
+        xi = np.where(np.abs(xi % t.n0) < 0.25, xi + 0.37 * t.n0, xi)
         if any(tiling.locate(t, float(x)) is None for x in xi):
             continue
-        val = kernel.kernel_eval(inst, w, t, ys, xi, lam)
-        oracle = kernel.kernel_eval_dense(inst, w, t, ys, xi, lam,
+        val = kernel.kernel_eval(inst, w, t, y, xi, lam)
+        oracle = kernel.kernel_eval_dense(inst, w, t, y, xi, lam,
                                           nodes_per_axis=oracle_nodes)
-        scale = max(abs(oracle), 1e-12)
-        worst = max(worst, abs(val - oracle) / scale)
-        drawn += 1
+        worst = max(worst, abs(val - oracle) / max(abs(oracle), 1e-12))
+        samples.append((y, xi, val))
 
     far = kernel.kernel_eval(inst, w, t, np.array([5.0, 0.0, 0.0, 0.0]),
                              np.array([7.0, 7.0, 7.0, 7.0]), lam)
@@ -354,7 +365,7 @@ def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
     return CheckResult("kernel-diagnostics", passed,
                        f"max oracle mismatch {worst:.2%}; "
                        f"exact zeros: {zeros_exact}",
-                       extras={"worst": worst})
+                       extras={"worst": worst, "samples": samples})
 
 
 ALL_CHECKS = [

@@ -137,6 +137,9 @@ def test_decay_extremizer_pass(tmp_path):
     assert (out / "decay_values.csv").exists()
     assert (out / "decay_loglog.dat").exists()
     assert sorted(manifest["artifacts"]) == sorted(os.listdir(out))
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert list(checks) == ["decay-slope"]
+    assert checks["decay-slope"]["elapsed_s"] >= 0.0
 
 
 def test_decay_deterministic_outputs(tmp_path):
@@ -249,7 +252,24 @@ def test_ibp_rerun_gives_the_same_bytes(tmp_path):
     assert lines[0].startswith("N,lambda,") and len(lines) == 3
 
 
-def test_reconstruct_subcommand(tmp_path):
+def _count_calls(monkeypatch, target, *modules):
+    """Wrap the function named target in each module; the returned list
+    gets the positional arguments of every call."""
+    calls = []
+    for mod in modules:
+        fn = getattr(mod, target)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, target, counted)
+    return calls
+
+
+def test_reconstruct_subcommand(tmp_path, monkeypatch):
+    from oscsurf import selftest, window
+    windows = _count_calls(monkeypatch, "make_window", window, selftest)
     cfg = write_config(tmp_path, """
 [reconstruct]
 n_signals = 2
@@ -259,9 +279,15 @@ n_signals = 2
     assert [c["name"] for c in manifest["checks"]] == ["reconstruction",
                                                        "analysis-bound"]
     assert all(c["status"] == "pass" for c in manifest["checks"])
+    assert all(c["elapsed_s"] >= 0.0 for c in manifest["checks"])
+    # criteria 2 and 3 share one window
+    assert len(windows) == 1
 
 
-def test_kernel_subcommand(tmp_path):
+def test_kernel_subcommand(tmp_path, monkeypatch):
+    from oscsurf import kernel, selftest, window
+    windows = _count_calls(monkeypatch, "make_window", window, selftest)
+    kernels = _count_calls(monkeypatch, "kernel_eval", kernel)
     cfg = write_config(tmp_path, """
 [kernel]
 n_samples = 1
@@ -274,6 +300,51 @@ n_samples = 1
     lines = (out / "kernel_probe.csv").read_text().splitlines()
     assert lines[0] == "region,abs_value,size_bound,ratio,rapid_bound,rapid_ratio"
     assert len(lines) == 2
+    # one window; the sample's kernel once, plus the two short-circuits
+    assert len(windows) == 1
+    assert len(kernels) == 3
+
+
+def test_kernel_subcommand_uses_the_configured_instance(tmp_path,
+                                                        monkeypatch):
+    from oscsurf import kernel
+    from oscsurf.instance import make_instance
+    from oscsurf.tiling import build_tiling
+    from oscsurf.window import make_window
+    kernels = _count_calls(monkeypatch, "kernel_eval", kernel)
+    oracles = _count_calls(monkeypatch, "kernel_eval_dense", kernel)
+    cfg = write_config(tmp_path, """
+[instance]
+name = tilted
+[kernel]
+n_samples = 1
+""")
+    code, out, manifest = run(tmp_path, "kernel", "--config", cfg)
+    assert code == 0
+    # criterion 11 runs on the configured instance
+    assert {args[0].name for args in kernels + oracles} == {"tilted"}
+    # the probe row is criterion 11's sample (the first kernel), on tilted
+    y, xi, lam = kernels[0][3:6]
+    monkeypatch.undo()
+    value = kernel.kernel_eval(make_instance("tilted", b0=0.3, b1=0.5),
+                               make_window(), build_tiling(lam, 6 * lam),
+                               y, xi, lam)
+    row = (out / "kernel_probe.csv").read_text().splitlines()[1].split(",")
+    assert value != 0.0
+    assert float(row[1]) == abs(value)
+
+
+def test_kernel_subcommand_needs_d2(tmp_path):
+    cfg = write_config(tmp_path, """
+[instance]
+name = paper-odd-d3
+[kernel]
+n_samples = 1
+""")
+    code, _, manifest = run(tmp_path, "kernel", "--config", cfg)
+    assert code == 1
+    assert [c["name"] for c in manifest["checks"]] == ["constraint"]
+    assert "d = 2" in manifest["checks"][0]["detail"]
 
 
 def test_config_defaults_match_the_checks():
@@ -299,9 +370,16 @@ def test_config_defaults_match_the_checks():
     assert rec["tol"] == float(DEFAULTS["reconstruct"]["tolerance"])
     assert set(DEFAULTS["reconstruct"]) == {"n_signals", "seed", "xi_band",
                                             "tolerance"}
+    dec = DEFAULTS["decay"]
+    assert [float(v) for v in dec["lambda"].split()] == selftest.LAMBDA_SWEEP
     slope = defaults(selftest.check_sharpness_slope)
-    assert slope["target"] == float(DEFAULTS["decay"]["slope_target"])
-    assert slope["tol"] == float(DEFAULTS["decay"]["slope_tol"])
+    assert slope["target"] == float(dec["slope_target"])
+    assert slope["tol"] == float(dec["slope_tol"])
+    assert slope["c_prime"] == float(dec["c_prime"])
+    assert slope["lambdas"] is None
     upper = defaults(selftest.check_upper_bound)
-    assert upper["n_families"] == int(DEFAULTS["decay"]["n_families"])
-    assert upper["seed"] == int(DEFAULTS["decay"]["seed"])
+    assert upper["n_families"] == int(dec["n_families"])
+    assert upper["seed"] == int(dec["seed"])
+    assert upper["max_freq"] == float(dec["max_freq"])
+    assert upper["normalized"] is (dec["normalized"] == "true")
+    assert upper["lambdas"] is None

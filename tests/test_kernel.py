@@ -12,6 +12,8 @@ from oscsurf.kernel import (
     QuadPolicy,
     TestFunctionFamily,
     _axis_bisection,
+    _packet_setup,
+    _qmc_value,
     _trapezoid_blocks,
     calibrate_extremizer,
     classify_region,
@@ -454,17 +456,36 @@ def test_kernel_decay_probe_rows(paper, w):
     samples.append((y1, np.array([50001.0, 7.0, 7.0, 7.0])))
     samples.append((np.array([0.25, 0.25, 0.25, 0.28]),
                     np.array([7.0, 7.0, 7.0, 7.0])))
-    rows = kernel_decay_probe(paper, w, t, samples, lam, N=3)
+    samples = [(y, xi, kernel_eval(paper, w, t, y, xi, lam))
+               for y, xi in samples]
+    rows = kernel_decay_probe(paper, samples, lam, N=3)
     assert rows[-1].value == 0.0 and rows[-1].ratio == 0.0
     assert rows[-2].region == "Xi1"
     assert rows[-2].rapid_bound is not None
     assert all(np.isfinite(r.ratio) for r in rows)
 
 
-def test_kernel_probe_rejects_large_order(paper, w):
-    t = build_tiling(100.0, 600.0)
+def test_kernel_probe_rejects_large_order(paper):
     with pytest.raises(ConstraintError):
-        kernel_decay_probe(paper, w, t, [], 100.0, N=2 * paper.d + 3)
+        kernel_decay_probe(paper, [], 100.0, N=2 * paper.d + 3)
+
+
+def test_kernel_eval_d3_takes_the_first_sobol_estimate():
+    # a d = 3 packet kernel takes eval_I's first estimate, one scramble,
+    # not a 5-axis tensor chart, which does not fit in memory here
+    inst = make_instance("paper-odd-d3", b0=0.3, b1=0.5)
+    w = make_window()
+    lam = 100.0
+    t = build_tiling(lam, 6 * lam)
+    y = np.array([0.02, -0.03, 0.01, 0.04, -0.02, 0.0])
+    y[5] = graph_solve(inst, 5, y[:5])
+    xi = np.array([63.0, -37.0, 117.0, 47.0, -21.0, 93.0])
+    quad = QuadPolicy(qmc_log2_nodes=10)
+    factors, j0, boxes = _packet_setup(inst, w, t, y, xi, None)
+    ref = _qmc_value(inst, factors, lam, j0, boxes, quad, quad.qmc_seeds[0])[0]
+    val = kernel_eval(inst, w, t, y, xi, lam, quad=quad)
+    assert val != 0.0
+    assert val == ref
 
 
 def test_quad_policy_node_cap(paper):

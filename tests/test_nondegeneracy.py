@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,16 @@ def test_homogeneity_zero_for_flat_rho(degenerate):
     jac = psi_jacobian(degenerate, P_SPLIT, np.zeros(2), 0.0,
                        np.zeros(2), 1.0)
     assert np.linalg.det(jac) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_homogeneity_singular_pair_is_data_not_a_warning(paper):
+    # (lambda, tau) = (0, 1) at the origin: the Jacobian is singular, and
+    # the probe returns the zero ratio without warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratios = jacobian_homogeneity_probe(paper, P_MIXED, np.zeros(2),
+                                            np.zeros(2), [(0.0, 1.0)])
+    assert ratios == [0.0]
 
 
 def test_homogeneity_rejects_zero_pair(paper):
