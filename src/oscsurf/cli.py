@@ -223,8 +223,11 @@ def cmd_kernel(cfg, manifest, args):
     inst = _instance_from_config(cfg)
     lam = (args.lam or [cfg.get_float("kernel", "lambda")])[0]
     seed = args.seed if args.seed is not None else cfg.get_int("kernel", "seed")
+    n_samples = cfg.get_int("kernel", "n_samples")
+    if n_samples < 1:
+        raise ConfigError(f"kernel.n_samples must be at least 1, got {n_samples}")
     res = check_kernel_diagnostics(
-        n_samples=cfg.get_int("kernel", "n_samples"), lam=lam,
+        n_samples=n_samples, lam=lam,
         tol=cfg.get_float("kernel", "oracle_tolerance"),
         oracle_nodes=cfg.get_int("kernel", "oracle_nodes"), seed=seed,
         inst=inst)
@@ -359,6 +362,8 @@ def main(argv=None):
         manifest = Manifest(args.command, cfg, out_dir, seed=args.seed)
         COMMANDS[args.command](cfg, manifest, args)
     except ConfigError as exc:
+        manifest.check("config", "fail", str(exc))
+        manifest.finish()
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:

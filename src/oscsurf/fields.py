@@ -12,6 +12,8 @@ axis k < d is x_{k+1}, axis d + k is x_{k+1}'.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError
@@ -64,6 +66,10 @@ class SmoothField:
 
     def _deriv(self, alpha, pts):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    # for a tensor-product field f(x) = prod_j g_j(x_j), the one-axis
+    # factors g_j as callables on 1-D arrays; None for other fields
+    axis_factors = None
 
     def along_axis(self, j0, slice_pts):
         """The restriction v -> f(slice point with v inserted at axis j0) for
@@ -214,6 +220,16 @@ class BumpField(SmoothField):
             out = out * bump1d_value(a, pts[..., j] - self.centers[j],
                                      self.support_half_width, self.order)
         return out
+
+    @functools.cached_property
+    def axis_factors(self):
+        """Each axis factor evaluated through a one-dimensional BumpField's
+        deriv; factor j at x equals the j-th term of _deriv's product at x_j
+        bit for bit.  Built once, so the callables keep their identity."""
+        return [lambda x, g=BumpField(1, self.support_half_width, self.order,
+                                      self.half_widths[j], self.centers[j:j + 1]):
+                g.eval(x[:, None])
+                for j in range(self.dim)]
 
     def axis_deriv_max(self, k, n_grid=2001):
         """max over the support of |g^(k)| for the one-axis factor."""

@@ -107,17 +107,35 @@ class SurfaceChart:
     """Quadrature nodes on M over a slice box, with density-weighted weights.
 
     points: (n, 2d) nodes on M (only where the graph exists); weights include
-    the slice quadrature weight times (1 + |grad Psi|^2)^(1/2).
-    nodes_per_axis is the tensor grid shape, empty for other slice rules.
+    the slice quadrature weight times (1 + |grad Psi|^2)^(1/2).  kept marks
+    the slice points whose axis segment crosses M.  A tensor chart also
+    carries nodes_per_axis, the grid shape, and slice_nodes, the 1-D nodes of
+    each slice axis; kept then has the grid shape.
     """
 
     j0: int
     points: np.ndarray
     weights: np.ndarray
+    kept: np.ndarray = None
     nodes_per_axis: tuple = ()
+    slice_nodes: tuple = ()
 
     def integrate(self, values):
         return complex(np.sum(self.weights * values))
+
+    def line_values(self, j, g):
+        """g(x_j) at the nodes of a tensor chart, for a function g of
+        coordinate j alone.  A slice coordinate takes one value per node of
+        its axis, so g runs on those nodes and is gathered to the kept
+        points; each gathered value is g's value at that point, bit for
+        bit."""
+        if j == self.j0:
+            return g(self.points[:, j])
+        k = j - (j > self.j0)
+        shape = [1] * len(self.slice_nodes)
+        shape[k] = -1
+        on_axis = g(self.slice_nodes[k]).reshape(shape)
+        return np.broadcast_to(on_axis, self.kept.shape)[self.kept]
 
 
 def chart_on_surface(inst, j0, slice_pts, weights):
@@ -128,7 +146,8 @@ def chart_on_surface(inst, j0, slice_pts, weights):
     pts = _assemble(slice_pts[found], j0, vals[found], inst.dim)
     g = grad_psi(inst, j0, pts)
     density = np.sqrt(1.0 + np.sum(g * g, axis=-1))
-    return SurfaceChart(j0=j0, points=pts, weights=weights[found] * density)
+    return SurfaceChart(j0=j0, points=pts, weights=weights[found] * density,
+                        kept=found)
 
 
 def build_chart(inst, j0, boxes, nodes_per_axis):
@@ -153,19 +172,21 @@ def build_chart(inst, j0, boxes, nodes_per_axis):
     for wm in np.meshgrid(*wts, indexing="ij"):
         weights = weights * wm.ravel()
     chart = chart_on_surface(inst, j0, slice_pts, weights)
+    chart.kept = chart.kept.reshape(nodes_per_axis)
     chart.nodes_per_axis = nodes_per_axis
+    chart.slice_nodes = axes
     return chart
 
 
-_CHART_CACHE_MAX = 24
-_CHART_CACHE_NODE_CAP = 4_000_000
+_CHART_CACHE_NODES = 2_000_000
 
 
 def cached_chart(inst, j0, boxes, nodes_per_axis):
-    """Bounded chart cache keyed on the quadrature geometry.
+    """Chart cache keyed on the quadrature geometry.
 
-    Charts are immutable; the cache evicts least-recently-used entries and
-    skips storing very large charts outright.
+    Charts are immutable.  The cache holds at most _CHART_CACHE_NODES chart
+    nodes in all, evicting least-recently-used charts; a chart larger than
+    that is built and returned but not kept.
     """
     key = ("chart", j0, tuple((round(lo, 14), round(hi, 14)) for lo, hi in boxes),
            tuple(np.atleast_1d(nodes_per_axis).tolist()))
@@ -175,10 +196,11 @@ def cached_chart(inst, j0, boxes, nodes_per_axis):
         cache[key] = chart  # refresh LRU order
         return chart
     chart = build_chart(inst, j0, boxes, nodes_per_axis)
-    if len(chart.points) <= _CHART_CACHE_NODE_CAP:
+    if len(chart.points) <= _CHART_CACHE_NODES:
         cache[key] = chart
-        while len(cache) > _CHART_CACHE_MAX:
-            cache.pop(next(iter(cache)))
+        total = sum(len(c.points) for c in cache.values())
+        while total > _CHART_CACHE_NODES:
+            total -= len(cache.pop(next(iter(cache))).points)
     return chart
 
 

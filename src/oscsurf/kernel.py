@@ -324,12 +324,33 @@ def _support_boxes(inst, factors, j0):
     return boxes
 
 
-def _chart_values(inst, chart, lam, factors):
-    pts = chart.points
-    vals = np.exp(1j * lam * inst.phi.eval(pts)) * inst.amp.eval(pts)
+def _integrand(inst, pts, lam, factors, line=None):
+    """e^{i lam Phi} a prod_j f_j(x_j) at the points pts.
+
+    On a tensor grid, line(j, g) gives a function g of coordinate j alone at
+    the points, evaluating g once per node of axis j and gathering.  The
+    factors f_j go through it, and so do the amplitude's axis factors when
+    it is a tensor product.  Without line every factor runs at every point.
+    The product order is fixed, a = prod_j a_j in axis order, then
+    e^{i lam Phi} a times f_0, ..., f_{2d-1}, so a gathered integrand equals
+    the one evaluated at every point bit for bit.
+    """
+    amp_axes = inst.amp.axis_factors if line else None
+    if amp_axes is None:
+        amp = inst.amp.eval(pts)
+    else:
+        amp = np.ones(len(pts))
+        for j, a in enumerate(amp_axes):
+            amp = amp * line(j, a)
+    vals = np.exp(1j * lam * inst.phi.eval(pts)) * amp
     for j, f in enumerate(factors):
-        vals = vals * f(pts[:, j])
+        vals = vals * (line(j, f) if line else f(pts[:, j]))
     return vals
+
+
+def _chart_values(inst, chart, lam, factors):
+    return _integrand(inst, chart.points, lam, factors,
+                      chart.line_values if chart.slice_nodes else None)
 
 
 def _qmc_value(inst, factors, lam, j0, boxes, quad, seed):
@@ -532,9 +553,9 @@ def _axis_bisection(rho_line, b):
     return lo + half, crosses
 
 
-def _trapezoid_blocks(slice_boxes, nodes_per_axis):
-    """The oracle's uniform trapezoid grid over the slice box, as blocks of
-    slice points with their weights, in the grid's row-major order."""
+def _trapezoid_axes(slice_boxes, nodes_per_axis):
+    """The oracle's uniform trapezoid rule on each slice axis: its nodes and
+    its weights."""
     axes, wts = [], []
     for lo, hi in slice_boxes:
         axes.append(np.linspace(lo, hi, nodes_per_axis))
@@ -542,6 +563,14 @@ def _trapezoid_blocks(slice_boxes, nodes_per_axis):
         wgrid[0] *= 0.5
         wgrid[-1] *= 0.5
         wts.append(wgrid)
+    return axes, wts
+
+
+def _trapezoid_blocks(slice_boxes, nodes_per_axis):
+    """The oracle's trapezoid grid over the slice box, as blocks of slice
+    points with their weights and grid indices (one array per axis), in the
+    grid's row-major order."""
+    axes, wts = _trapezoid_axes(slice_boxes, nodes_per_axis)
     shape = (nodes_per_axis,) * len(axes)
     n = nodes_per_axis ** len(axes)
     for start in range(0, n, _ORACLE_BLOCK):
@@ -550,7 +579,7 @@ def _trapezoid_blocks(slice_boxes, nodes_per_axis):
         weight = np.ones(len(idx[0]))
         for wgrid, i in zip(wts, idx):
             weight = weight * wgrid[i]
-        yield np.stack([a[i] for a, i in zip(axes, idx)], axis=-1), weight
+        yield np.stack([a[i] for a, i in zip(axes, idx)], axis=-1), weight, idx
 
 
 def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
@@ -559,26 +588,38 @@ def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
     Uniform trapezoid grid over the slice box, bisection-only root solve of
     rho restricted to the chart-axis line (52 halvings of [-b1, b1]),
     explicit graph density.  Shares no quadrature machinery with kernel_eval
-    beyond the field oracles and the packets.  The grid is lifted and summed
-    a block at a time, so every array stays the size of one block.
+    beyond the field oracles, the packets and the integrand's product.  The
+    grid is lifted and summed a block at a time, so every array stays the
+    size of one block; the slice-axis packets and amplitude factors are
+    evaluated once per call on the grid axes and gathered per block.
     """
     setup = _packet_setup(inst, w, t, y, xi, j0)
     if setup is None:
         return 0.0 + 0.0j
     factors, j0, slice_boxes = setup
+    axes = _trapezoid_axes(slice_boxes, nodes_per_axis)[0]
+    on_axes = {}  # (axis, function) -> its values on that grid axis
     total = 0.0 + 0.0j
-    for slice_pts, weight in _trapezoid_blocks(slice_boxes, nodes_per_axis):
+    for slice_pts, weight, idx in _trapezoid_blocks(slice_boxes,
+                                                    nodes_per_axis):
         roots, crosses = _axis_bisection(
             inst.rho.along_axis(j0, slice_pts), inst.b1)
         pts = np.insert(slice_pts[crosses], j0, roots[crosses], axis=1)
+        kept = [i[crosses] for i in idx]
 
         grad = inst.grad_rho(pts)
         dpsi = -np.delete(grad, j0, axis=1) / grad[:, j0:j0 + 1]
         density = np.sqrt(1.0 + np.sum(dpsi * dpsi, axis=-1))
 
-        vals = np.exp(1j * lam * inst.phi.eval(pts)) * inst.amp.eval(pts)
-        for j, f in enumerate(factors):
-            vals = vals * f(pts[:, j])
+        def line(j, g):
+            if j == j0:
+                return g(pts[:, j])
+            k = j - (j > j0)
+            if (j, g) not in on_axes:
+                on_axes[j, g] = g(axes[k])
+            return on_axes[j, g][kept[k]]
+
+        vals = _integrand(inst, pts, lam, factors, line)
         total += np.sum(weight[crosses] * density * vals)
     return complex(total)
 

@@ -10,6 +10,7 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
 import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -54,3 +55,30 @@ def test_install_uninstall_leaves_no_wrapper(tracer):
     finally:
         t.uninstall()
     assert tracer.installed_wrappers() == 0
+
+
+def test_tracer_reaches_the_layers(tracer):
+    # the traced benchmark's coverage check needs these counts; a path that
+    # bypasses a wrapped name would leave them at 0
+    from oscsurf import geometry, instance, kernel, tiling, window
+    inst = instance.make_instance("paper-even-d2")
+    fam = kernel.random_bump_family(inst, np.random.default_rng(3))
+    w = window.make_window()
+    t = tiling.build_tiling(100.0, 600.0)
+    y = np.array([0.05, -0.04, 0.06, 0.0])
+    y[3] = geometry.graph_solve(inst, 3, y[:3])
+    xi = np.array([63.0, -37.0, 117.0, 47.0])
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        kernel.eval_I(inst, fam, 25.0)
+        dense = kernel.kernel_eval_dense(inst, w, t, y, xi, 100.0,
+                                         nodes_per_axis=24)
+    finally:
+        tr.uninstall()
+    assert dense != 0
+    metrics = tracer.layer_metrics(tr.spans, {})
+    for name in ("fields.bump.points", "fields.bump1d.points",
+                 "window.phi.points", "wavepackets.packet.points",
+                 "geometry.chart.requests"):
+        assert metrics[name][0] > 0, name

@@ -305,6 +305,18 @@ n_samples = 1
     assert len(kernels) == 3
 
 
+def test_kernel_subcommand_rejects_no_samples(tmp_path):
+    cfg = write_config(tmp_path, """
+[kernel]
+n_samples = 0
+""")
+    code, out, manifest = run(tmp_path, "kernel", "--config", cfg)
+    assert code == 2
+    assert [c["name"] for c in manifest["checks"]] == ["config"]
+    assert "n_samples" in manifest["checks"][0]["detail"]
+    assert sorted(manifest["artifacts"]) == sorted(os.listdir(out))
+
+
 def test_kernel_subcommand_uses_the_configured_instance(tmp_path,
                                                         monkeypatch):
     from oscsurf import kernel

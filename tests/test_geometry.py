@@ -5,8 +5,10 @@ import pytest
 
 from oscsurf.errors import ConstraintError, HypothesisError, NoRootError
 from oscsurf.fields import BumpField, PolynomialField
+from oscsurf import geometry
 from oscsurf.geometry import (
     build_chart,
+    cached_chart,
     gauss_legendre,
     grad_psi,
     graph_solve,
@@ -153,6 +155,29 @@ def test_chart_independence(paper):
     vals = [surface_integral(paper, bump.eval, j0, 40,
                              boxes=[(-0.2, 0.2)] * 3) for j0 in (2, 3)]
     assert abs(vals[0] - vals[1]) / abs(vals[1]) < 1e-6
+
+
+def test_chart_cache_holds_a_node_budget(monkeypatch):
+    budget = 12_000
+    monkeypatch.setattr(geometry, "_CHART_CACHE_NODES", budget)
+    inst = make_instance("paper-even-d2", b0=0.3, b1=0.5)
+    boxes = [(-0.25, 0.25)] * 3
+    cache = inst._caches.setdefault("charts", {})
+
+    def cached_nodes():
+        return sum(len(c.points) for c in cache.values())
+
+    charts = [cached_chart(inst, 3, boxes, n) for n in (14, 16, 18, 20)]
+    assert sum(len(c.points) for c in charts) > budget
+    assert 0 < cached_nodes() <= budget
+    # least recently used charts went first; a repeat returns the same chart
+    assert charts[-1] in cache.values() and charts[0] not in cache.values()
+    assert cached_chart(inst, 3, boxes, 20) is charts[-1]
+    # a chart above the budget is returned but not kept
+    big = cached_chart(inst, 3, boxes, 30)
+    assert len(big.points) > budget
+    assert big not in cache.values() and cached_nodes() <= budget
+    assert cached_chart(inst, 3, boxes, 30) is not big
 
 
 def test_graph_lipschitz_bound(paper):

@@ -5,15 +5,23 @@ import numpy as np
 import pytest
 
 from oscsurf.errors import BoundaryFrequencyError, ConstraintError
-from oscsurf.fields import PolynomialField, ScaledSumField, example_phi_even
-from oscsurf.geometry import graph_solve, graph_solve_grid
+from oscsurf.fields import (
+    BumpField,
+    PolynomialField,
+    ScaledSumField,
+    example_phi_even,
+)
+from oscsurf.geometry import build_chart, graph_solve, graph_solve_grid
 from oscsurf.instance import make_instance
 from oscsurf.kernel import (
     QuadPolicy,
     TestFunctionFamily,
+    _ORACLE_BLOCK,
     _axis_bisection,
+    _chart_values,
     _packet_setup,
     _qmc_value,
+    _support_boxes,
     _trapezoid_blocks,
     calibrate_extremizer,
     classify_region,
@@ -397,6 +405,76 @@ def test_trapezoid_blocks_tile_the_grid():
         want_weight = want_weight * wm.ravel()
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(weight, want_weight)
+
+
+def _all_points_integrand(inst, pts, lam, factors):
+    """The integrand with every factor evaluated at every point."""
+    vals = np.exp(1j * lam * inst.phi.eval(pts)) * inst.amp.eval(pts)
+    for j, f in enumerate(factors):
+        vals = vals * f(pts[:, j])
+    return vals
+
+
+def _packet_sample(paper, w, lam):
+    t = build_tiling(lam, 6 * lam)
+    y = np.array([0.05, -0.04, 0.06, 0.0])
+    y[3] = graph_solve(paper, 3, y[:3])
+    return t, y, np.array([63.0, -37.0, 117.0, 47.0])
+
+
+def test_chart_gather_reproduces_the_slice_coordinates(paper):
+    for j0 in range(4):
+        chart = build_chart(paper, j0, [(-0.2, 0.25), (-0.1, 0.15), (-0.3, 0.0)],
+                            (9, 11, 7))
+        assert 0 < len(chart.points) < 9 * 11 * 7
+        for j in range(4):
+            assert np.array_equal(chart.line_values(j, lambda x: x),
+                                  chart.points[:, j])
+
+
+def test_chart_values_gather_is_bitwise(paper, w):
+    """The tensor rule evaluates one-variable factors once per axis node and
+    gathers them; the integrand equals the all-points product exactly, on
+    every chart axis, for bump families (normalized, so scaled closures),
+    packets, and an amplitude that is not a tensor product."""
+    lam = 100.0
+    t, y, xi = _packet_sample(paper, w, lam)
+    packets = [packet_factor(w, t, x, shift=float(c)) for x, c in zip(xi, y)]
+    bumps = random_bump_family(paper, np.random.default_rng(3)).factors_for(lam)
+    assert isinstance(paper.amp, BumpField)
+    plain = make_instance("custom", b0=0.3, b1=0.5, rho=paper.rho,
+                          phi=paper.phi, amp=ScaledSumField([1.0], [paper.amp]))
+    assert plain.amp.axis_factors is None
+    for inst in (paper, plain):
+        for factors in (bumps, packets):
+            for j0 in range(4):
+                chart = build_chart(inst, j0, _support_boxes(inst, factors, j0),
+                                    (13, 10, 12))
+                got = _chart_values(inst, chart, lam, factors)
+                want = _all_points_integrand(inst, chart.points, lam, factors)
+                assert np.abs(want).max() > 0
+                assert np.array_equal(got, want)
+
+
+def test_dense_oracle_gather_is_bitwise(paper, w):
+    """One oracle block with its slice-axis packets and amplitude factors
+    gathered from the grid axes sums to the all-points value exactly."""
+    lam = 100.0
+    t, y, xi = _packet_sample(paper, w, lam)
+    n = 24
+    assert n ** 3 <= _ORACLE_BLOCK  # one block
+    factors, j0, boxes = _packet_setup(paper, w, t, y, xi, None)
+    (slice_pts, weight, _), = _trapezoid_blocks(boxes, n)
+    roots, crosses = _axis_bisection(paper.rho.along_axis(j0, slice_pts),
+                                     paper.b1)
+    pts = np.insert(slice_pts[crosses], j0, roots[crosses], axis=1)
+    grad = paper.grad_rho(pts)
+    dpsi = -np.delete(grad, j0, axis=1) / grad[:, j0:j0 + 1]
+    density = np.sqrt(1.0 + np.sum(dpsi * dpsi, axis=-1))
+    want = complex(np.sum(weight[crosses] * density
+                          * _all_points_integrand(paper, pts, lam, factors)))
+    assert want != 0
+    assert kernel_eval_dense(paper, w, t, y, xi, lam, nodes_per_axis=n) == want
 
 
 def _cubic_rho():
