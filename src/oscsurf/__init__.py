@@ -34,8 +34,6 @@ from .geometry import (
     SurfaceChart,
     build_chart,
     graph_solve,
-    size_bound_check,
-    surface_integral,
 )
 from .instance import ProblemInstance, admissible_constants, make_instance
 from .kernel import (
@@ -66,8 +64,6 @@ from .nondegen import (
 from .tangent import (
     IBPReport,
     TangentField,
-    apply_X,
-    apply_X_star,
     decay_bound_probe,
     ibp_identity_check,
 )

@@ -88,25 +88,47 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _read_table(sec, key, dim, b1):
+    path = sec[key]
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"[instance] {key}: cannot read {path!r} "
+                          f"({exc.strerror})") from exc
+    return parse_polynomial_table(text, dim, half_widths=b1)
+
+
 def _instance_from_config(cfg):
+    """The [instance] section as a ProblemInstance.  d is required for
+    custom, sets flat and tilted, and must match a paper-* instance."""
     name = cfg.get("instance", "name")
     b0 = cfg.get_float("instance", "b0")
     b1 = cfg.get_float("instance", "b1")
     density = cfg.get_int("instance", "grid_density")
+    sec = cfg.sections.get("instance", {})
     if name == "custom":
-        sec = cfg.sections.get("instance", {})
         if "rho_table" not in sec:
             raise ConfigError("custom instance needs instance.rho_table")
         d = cfg.get_int("instance", "d")
-        with open(sec["rho_table"]) as fh:
-            rho = parse_polynomial_table(fh.read(), 2 * d, half_widths=b1)
-        phi = None
-        if "phi_table" in sec:
-            with open(sec["phi_table"]) as fh:
-                phi = parse_polynomial_table(fh.read(), 2 * d, half_widths=b1)
+        rho = _read_table(sec, "rho_table", 2 * d, b1)
+        phi = _read_table(sec, "phi_table", 2 * d, b1) if "phi_table" in sec else None
         return make_instance("custom", b0=b0, b1=b1, rho=rho, phi=phi,
                              grid_density=density)
-    return make_instance(name, b0=b0, b1=b1, grid_density=density)
+    d = cfg.get_int("instance", "d") if "d" in sec else None
+    inst = make_instance(name, b0=b0, b1=b1, d=d, grid_density=density)
+    if d is not None and inst.d != d:
+        raise ConfigError(f"[instance] d = {d} disagrees with {name}, "
+                          f"which has d = {inst.d}")
+    return inst
+
+
+def _one_lambda(args, cfg, section):
+    """The single frequency of ibp and kernel: --lambda, else the config."""
+    lams = args.lam or [cfg.get_float(section, "lambda")]
+    if len(lams) != 1:
+        raise ConfigError(f"{section} takes one --lambda value, got {len(lams)}")
+    return lams[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +215,7 @@ def cmd_ibp(cfg, manifest, args):
     from .fields import BumpField
     from .tangent import TangentField, ibp_identity_check, phase_with_modulation
     inst = _instance_from_config(cfg)
-    lam = (args.lam or [cfg.get_float("ibp", "lambda")])[0]
+    lam = _one_lambda(args, cfg, "ibp")
     inst.require_lambda(lam)
     orders = cfg.get_ints("ibp", "orders")
     tol = cfg.get_float("ibp", "tolerance")
@@ -221,7 +243,7 @@ def cmd_kernel(cfg, manifest, args):
     from .kernel import kernel_decay_probe
     from .selftest import check_kernel_diagnostics
     inst = _instance_from_config(cfg)
-    lam = (args.lam or [cfg.get_float("kernel", "lambda")])[0]
+    lam = _one_lambda(args, cfg, "kernel")
     seed = args.seed if args.seed is not None else cfg.get_int("kernel", "seed")
     n_samples = cfg.get_int("kernel", "n_samples")
     if n_samples < 1:

@@ -203,37 +203,3 @@ def cached_chart(inst, j0, boxes, nodes_per_axis):
             total -= len(cache.pop(next(iter(cache))).points)
     return chart
 
-
-def surface_integral(inst, integrand, j0, resolution, boxes=None):
-    """Tensor-grid approximation of the integral of a function over M.
-
-    integrand: callable on (n, 2d) arrays returning (n,) values (complex ok).
-    resolution: nodes per slice axis.  boxes defaults to the amplitude
-    support box [-b0, b0]^(2d-1); callers integrating something not supported
-    there should restrict explicitly.
-    """
-    if boxes is None:
-        boxes = [(-inst.b0, inst.b0)] * (inst.dim - 1)
-    chart = cached_chart(inst, j0, boxes, resolution)
-    return chart.integrate(integrand(chart.points))
-
-
-def size_bound_check(inst, f_sup, interval_lengths, j0):
-    """Product-of-interval-lengths upper bound for surface integrals.
-
-    Returns f_sup * prod_{j != j0} |I_j| * (1 + (2d-1)(C_rho C'_rho)^2)^(1/2)
-    for comparison against measured values of surface integrals.
-    """
-    lengths = np.asarray(interval_lengths, dtype=float)
-    if lengths.shape != (inst.dim,):
-        raise ConstraintError("need one interval length per coordinate")
-    if not 0 <= j0 < inst.dim:
-        raise ConstraintError("axis index out of range")
-    if f_sup == 0.0:
-        return 0.0
-    prod = 1.0
-    for j, ell in enumerate(lengths):
-        if j != j0:
-            prod *= ell
-    lip = inst.c_rho * inst.c_rho_inv
-    return float(f_sup) * prod * np.sqrt(1.0 + (inst.dim - 1) * lip**2)

@@ -60,8 +60,8 @@ class ProblemInstance:
     """Immutable bundle (d, b0, b1, rho, phi, amp) with admissible constants.
 
     c_rho, c_phi, c_amp are grid sups of derivatives to orders 2d+3 / 2d+2 /
-    2d+2; c_rho_inv is the reciprocal of the grid infimum of min_i |d_i rho|;
-    c_hyp is the nondegeneracy floor, left at 0 until a certificate sets it.
+    2d+2; c_rho_inv is the reciprocal of the grid infimum of min_i |d_i rho|,
+    inf when that infimum falls below the gradient floor.
     """
 
     d: int
@@ -74,10 +74,8 @@ class ProblemInstance:
     c_rho_inv: float = 0.0
     c_phi: float = 0.0
     c_amp: float = 0.0
-    c_hyp: float = 0.0
     grid_density: int = 9
     name: str = "custom"
-    implicit_ok: bool = True
     _caches: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -100,13 +98,6 @@ class ProblemInstance:
             # admissible_constants and in the operations that need them
             consts = admissible_constants(self, self.grid_density, strict=False)
             self.c_rho, self.c_rho_inv, self.c_phi, self.c_amp = consts
-            self.implicit_ok = bool(np.isfinite(self.c_rho_inv))
-
-    def require_implicit(self):
-        if not self.implicit_ok:
-            raise HypothesisError(
-                "this operation needs every first partial of rho bounded "
-                "away from zero, which fails for this instance")
 
     @property
     def dim(self):

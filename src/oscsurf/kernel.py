@@ -202,26 +202,6 @@ class TestFunctionFamily:
             self._cache[key] = factors
         return self._cache[key]
 
-    def with_slot(self, j, factor):
-        if self.kind == "extremizer":
-            raise ConstraintError("slot replacement is for fixed families")
-        new = list(self.factors)
-        new[j] = factor
-        return TestFunctionFamily(kind=self.kind, inst=self.inst, factors=new,
-                                  normalized=False)
-
-    def conjugated(self):
-        if self.kind == "extremizer":
-            raise ConstraintError("conjugation is for fixed families")
-        out = []
-        for f in self.factors:
-            out.append(LineFactor(f.lo, f.hi,
-                                  lambda x, g=f.func: np.conj(g(x)),
-                                  f.l2, label=f.label + "~",
-                                  phase_rate=f.phase_rate))
-        return TestFunctionFamily(kind=self.kind, inst=self.inst, factors=out,
-                                  normalized=self.normalized)
-
 
 def extremizer_family(inst, c_prime=0.1, c_lip=None, normalized=False):
     return TestFunctionFamily(kind="extremizer", inst=inst, c_prime=c_prime,
@@ -246,13 +226,6 @@ def random_bump_family(inst, rng, order=6, max_freq=2.0, normalized=True):
                                    label=f"bump[{j}]"))
     return TestFunctionFamily(kind="random-bump", inst=inst, factors=factors,
                               normalized=normalized)
-
-
-def constant_family(inst):
-    """f_j identically one on the box (phase-free sanity family)."""
-    factors = [indicator_factor(-inst.b1, inst.b1, label="one")
-               for _ in range(inst.dim)]
-    return TestFunctionFamily(kind="user", inst=inst, factors=factors)
 
 
 # ---------------------------------------------------------------------------

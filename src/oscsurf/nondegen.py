@@ -45,9 +45,6 @@ class Partition:
         if both != list(range(len(both))):
             raise ConstraintError("partition blocks must tile 0..2d-1")
 
-    def swapped(self):
-        return Partition(self.j_set, self.i_set)
-
 
 def all_partitions(d):
     """Every split of range(2d) into an ordered pair (I, J) of d-sets.

@@ -32,7 +32,6 @@ from .exprs import Const, FieldTerm, Sqrt, add, as_expr, div, evaluate_chunked, 
 from .fields import unit_index
 from .geometry import cached_chart
 from .instance import GRADIENT_FLOOR, _grid_points
-from .kernel import normal_projection
 
 
 def _axis_gradient_infs(inst, density=7):
@@ -159,25 +158,6 @@ class TangentField:
         return self.apply(self.inst.rho).value(np.asarray(pts, dtype=float))
 
 
-def _value_at(expr, x):
-    """Value of an expression at one point or a batch of points."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    vals = expr.value(pts)
-    if np.isscalar(vals):
-        vals = np.full(len(pts), vals)
-    return vals[0] if np.asarray(x).ndim == 1 else vals
-
-
-def apply_X(field, f, x):
-    """Value of X f at x (accepts one point or a batch)."""
-    return _value_at(field.apply(f), x)
-
-
-def apply_X_star(field, f, x):
-    """Value of the dual operator applied to f at x."""
-    return _value_at(field.apply_dual(f), x)
-
-
 def phase_with_modulation(inst, lam, xi):
     """The phase lambda * Phi + 2 pi xi . x as an expression."""
     dim = inst.dim
@@ -200,22 +180,6 @@ def _coordinate_field(inst, j):
         inst._caches[key] = PolynomialField(dim, {tuple(expo): 1.0},
                                             half_widths=inst.b1)
     return inst._caches[key]
-
-
-def projection_of_phase_gradient(inst, y, xi, lam):
-    """The vector (X_1 w, ..., X_2d w) at y for w = lam Phi + 2 pi xi . x,
-    together with the algebraic orthogonal projection of
-    lam grad Phi(y) + 2 pi xi onto the complement of grad rho(y)."""
-    y = np.asarray(y, dtype=float)
-    pts = np.atleast_2d(y)
-    proj = normal_projection(inst, pts, xi, lam)
-    phase = phase_with_modulation(inst, lam, xi)
-    applied = np.stack(
-        [TangentField(inst, index=i).apply(phase).value(pts)
-         for i in range(inst.dim)], axis=-1)
-    if y.ndim == 1:
-        return applied[0], proj[0]
-    return applied, proj
 
 
 # ---------------------------------------------------------------------------

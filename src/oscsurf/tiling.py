@@ -39,9 +39,6 @@ class IntervalQ:
     def length(self):
         return self.hi - self.lo
 
-    def contains(self, xi):
-        return self.lo <= xi <= self.hi
-
 
 @dataclass(eq=False)
 class Tiling:
@@ -49,9 +46,6 @@ class Tiling:
     n0: int
     xi_max: float
     cells: list
-
-    def central_cells(self):
-        return [q for q in self.cells if q.kind == CENTRAL]
 
 
 def build_tiling(lam, xi_max):

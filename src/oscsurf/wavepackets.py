@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandLimitError, ConstraintError
-from .tiling import Tiling, locate, locate_strict
+from .tiling import Tiling, locate_strict
 from .window import Window
 
 
@@ -50,13 +50,14 @@ class SampledSignal:
         return SampledSignal(self.x0, self.dx, np.asarray(values, dtype=complex))
 
 
-def signal_grid(xi_max, period=1.0, oversample=1.0):
-    """Empty signal whose Nyquist frequency exceeds twice the cap."""
+def signal_grid(xi_max):
+    """Empty signal on [-1/2, 1/2) whose Nyquist frequency exceeds twice the
+    cap."""
     n = 1
-    while n / (2.0 * period) <= 2.0 * xi_max * oversample:
+    while n / 2.0 <= 2.0 * xi_max:
         n *= 2
     n *= 2
-    return SampledSignal(-0.5 * period, period / n, np.zeros(n, dtype=complex))
+    return SampledSignal(-0.5, 1.0 / n, np.zeros(n, dtype=complex))
 
 
 def frequencies(sig):
@@ -89,19 +90,6 @@ class Coefficients:
     window: Window
     grid: SampledSignal
     spectral: dict = field(default_factory=dict)
-
-    def cell_function(self, cell):
-        """V f(., xi) for xi interior to the cell, as a sampled signal."""
-        if cell not in self.spectral:
-            raise ConstraintError("coefficients reference a cell absent from the tiling")
-        return from_spectrum(self.grid, self.spectral[cell])
-
-    def evaluate(self, xi):
-        """V f(., xi): per-cell constant in xi; zero on cell boundaries."""
-        cell = locate(self.tiling, xi)
-        if cell is None or cell not in self.spectral:
-            return self.grid.copy_with(np.zeros(self.grid.n, dtype=complex))
-        return self.cell_function(cell)
 
     def norm_squared(self):
         """L^2(dy dxi) energy: the xi integral is exact per cell."""
@@ -227,65 +215,6 @@ class WavePacket:
 def packet_for(w, t, xi):
     """The packet phi_xi for xi interior to a cell; boundary raises."""
     return WavePacket(window=w, cell=locate_strict(t, xi))
-
-
-# ---------------------------------------------------------------------------
-# Signal file formats
-# ---------------------------------------------------------------------------
-
-_BINARY_MAGIC = b"OSC1"
-
-
-def write_signal_text(path, sig):
-    """Plain text: one 'x re im' row per sample, '#' comments allowed."""
-    with open(path, "w") as fh:
-        fh.write("# x value_re value_im\n")
-        for x, v in zip(sig.grid, sig.values):
-            fh.write(f"{float(x)!r} {float(v.real)!r} {float(v.imag)!r}\n")
-
-
-def read_signal_text(path):
-    xs, vals = [], []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            x, re_, im = line.split()
-            xs.append(float(x))
-            vals.append(complex(float(re_), float(im)))
-    xs = np.asarray(xs)
-    if len(xs) < 2:
-        raise ConstraintError("signal files need at least two samples")
-    dx = xs[1] - xs[0]
-    if not np.allclose(np.diff(xs), dx, rtol=0, atol=1e-9 * abs(dx)):
-        raise ConstraintError("signal grid must be uniform")
-    return SampledSignal(float(xs[0]), float(dx), np.asarray(vals, dtype=complex))
-
-
-def write_signal_binary(path, sig):
-    """Little-endian block: magic 'OSC1', uint64 n, float64 x0, float64 dx,
-    then n interleaved (re, im) float64 pairs."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        np.asarray([sig.n], dtype="<u8").tofile(fh)
-        np.asarray([sig.x0, sig.dx], dtype="<f8").tofile(fh)
-        inter = np.empty(2 * sig.n, dtype="<f8")
-        inter[0::2] = sig.values.real
-        inter[1::2] = sig.values.imag
-        inter.tofile(fh)
-
-
-def read_signal_binary(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != _BINARY_MAGIC:
-            raise ConstraintError("not a signal block (bad magic)")
-        n = int(np.fromfile(fh, dtype="<u8", count=1)[0])
-        x0, dx = np.fromfile(fh, dtype="<f8", count=2)
-        inter = np.fromfile(fh, dtype="<f8", count=2 * n)
-    if len(inter) != 2 * n:
-        raise ConstraintError("truncated signal block")
-    return SampledSignal(float(x0), float(dx), inter[0::2] + 1j * inter[1::2])
 
 
 def derivative_bound_probe(w, t, xi, k, n_grid=4001):

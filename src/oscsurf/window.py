@@ -119,7 +119,6 @@ class Window:
     fourier_floor: float
     scale: float
     l2_norm: float
-    profile: str = "autocorr-bump"
     _spline: object = field(default=None, repr=False)
 
     def _on_support(self, x, fn):
@@ -188,7 +187,6 @@ def make_window(profile="autocorr-bump", grid=2**14):
         fourier_floor=float(hat_samples.min()),
         scale=scale,
         l2_norm=l2,
-        profile=profile,
     )
     w._spline = spline
     return w

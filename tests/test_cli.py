@@ -86,6 +86,47 @@ circle_points = 8
     assert code == 2
 
 
+def test_missing_polynomial_table_is_config_error(tmp_path):
+    missing = tmp_path / "no-such-rho.txt"
+    code, out, manifest = run(tmp_path, "certify",
+                              "--config", write_config(tmp_path, f"""
+[instance]
+name = custom
+d = 2
+rho_table = {missing}
+"""))
+    assert code == 2
+    assert [c["name"] for c in manifest["checks"]] == ["config"]
+    detail = manifest["checks"][0]["detail"]
+    assert "rho_table" in detail and str(missing) in detail
+    assert sorted(manifest["artifacts"]) == sorted(os.listdir(out))
+
+
+@pytest.mark.parametrize("name", ["flat", "tilted"])
+def test_instance_d_sets_flat_and_tilted(name):
+    from oscsurf.cli import _instance_from_config
+    inst = _instance_from_config(load_config(text=f"""
+[instance]
+name = {name}
+d = 3
+grid_density = 3
+"""))
+    assert inst.name == name and inst.d == 3 and inst.dim == 6
+
+
+def test_instance_d_must_match_a_paper_instance(tmp_path):
+    code, out, manifest = run(tmp_path, "certify",
+                              "--config", write_config(tmp_path, """
+[instance]
+name = paper-even-d2
+d = 3
+"""))
+    assert code == 2
+    assert [c["name"] for c in manifest["checks"]] == ["config"]
+    assert "d = 3" in manifest["checks"][0]["detail"]
+    assert manifest["config"]["instance"]["d"] == "3"
+
+
 def test_certify_pass_with_report(tmp_path):
     code, out, manifest = run(tmp_path, "certify",
                               "--config", write_config(tmp_path, """
@@ -158,6 +199,28 @@ lambda = 25 50 100 200
         == (out2 / "decay_values.csv").read_bytes()
 
 
+def test_decay_custom_tables_match_the_paper_instance(tmp_path):
+    # the README's d = 2 table for rho and x1 x2 for Phi are paper-even-d2
+    rho = tmp_path / "rho.txt"
+    rho.write_text("1 0 1 0 : 1.0\n1 0 0 0 : 1.0\n0 1 0 0 : 1.0\n"
+                   "0 0 1 0 : 1.0\n0 0 0 1 : 1.0\n")
+    phi = tmp_path / "phi.txt"
+    phi.write_text("1 1 0 0 : 1.0\n")
+    custom = write_config(tmp_path, f"""
+[instance]
+name = custom
+d = 2
+rho_table = {rho}
+phi_table = {phi}
+""")
+    out_custom, out_paper = tmp_path / "custom", tmp_path / "paper"
+    assert main(["decay", "--config", custom, "--out", str(out_custom),
+                 "--quiet"]) == 0
+    assert main(["decay", "--out", str(out_paper), "--quiet"]) == 0
+    for name in ("decay_values.csv", "decay_loglog.dat", "decay_summary.json"):
+        assert (out_custom / name).read_bytes() == (out_paper / name).read_bytes()
+
+
 def test_decay_non_convergence_exit_code(tmp_path, monkeypatch):
     from oscsurf import kernel
     monkeypatch.setattr(kernel, "DEFAULT_QUAD", kernel.QuadPolicy(agree_tol=1e-12))
@@ -184,6 +247,15 @@ def test_ibp_subcommand(tmp_path):
     assert lines[0] == "N,lambda,lhs_re,lhs_im,rhs_re,rhs_im,rel_error"
     assert len(lines) == 3  # orders 1 and 2
     assert all(float(line.split(",")[-1]) <= 1e-4 for line in lines[1:])
+
+
+@pytest.mark.parametrize("command", ["ibp", "kernel"])
+def test_single_lambda_subcommands_reject_a_list(tmp_path, command):
+    code, out, manifest = run(tmp_path, command, "--lambda", "50,100")
+    assert code == 2
+    assert [c["name"] for c in manifest["checks"]] == ["config"]
+    assert "--lambda" in manifest["checks"][0]["detail"]
+    assert sorted(manifest["artifacts"]) == sorted(os.listdir(out))
 
 
 def test_window_subcommand(tmp_path):

@@ -12,8 +12,6 @@ from oscsurf.geometry import (
     gauss_legendre,
     grad_psi,
     graph_solve,
-    size_bound_check,
-    surface_integral,
 )
 from oscsurf.instance import admissible_constants, make_instance
 
@@ -76,11 +74,9 @@ def test_constants_monotone_in_density(paper):
 
 def test_gradient_floor_violation_raises():
     flat = make_instance("flat", b0=0.3, b1=0.5)
-    assert not flat.implicit_ok
+    assert flat.c_rho_inv == math.inf
     with pytest.raises(HypothesisError):
         admissible_constants(flat, 3)
-    with pytest.raises(HypothesisError):
-        flat.require_implicit()
 
 
 @pytest.mark.parametrize("n", [1, 7, 160, 256])
@@ -138,22 +134,22 @@ def test_graph_solve_bad_axis(paper):
 
 def test_flat_hyperplane_volume():
     flat = make_instance("flat", b0=0.3, b1=0.5)
-    val = surface_integral(flat, lambda p: np.ones(len(p)), 3, 6,
-                           boxes=[(-0.1, 0.1)] * 3)
+    chart = build_chart(flat, 3, [(-0.1, 0.1)] * 3, 6)
+    val = chart.integrate(np.ones(len(chart.points)))
     assert val.real == pytest.approx(0.008, rel=1e-12)
 
 
 def test_tilted_hyperplane_density():
     inst = x1_plus_x4_instance()
-    val = surface_integral(inst, lambda p: np.ones(len(p)), 3, 6,
-                           boxes=[(-0.1, 0.1)] * 3)
+    chart = build_chart(inst, 3, [(-0.1, 0.1)] * 3, 6)
+    val = chart.integrate(np.ones(len(chart.points)))
     assert val.real == pytest.approx(0.008 * math.sqrt(2.0), rel=1e-12)
 
 
 def test_chart_independence(paper):
     bump = BumpField(4, support_half_width=0.2, order=6, half_widths=0.5)
-    vals = [surface_integral(paper, bump.eval, j0, 40,
-                             boxes=[(-0.2, 0.2)] * 3) for j0 in (2, 3)]
+    charts = [build_chart(paper, j0, [(-0.2, 0.2)] * 3, 40) for j0 in (2, 3)]
+    vals = [chart.integrate(bump.eval(chart.points)) for chart in charts]
     assert abs(vals[0] - vals[1]) / abs(vals[1]) < 1e-6
 
 
@@ -185,33 +181,3 @@ def test_graph_lipschitz_bound(paper):
     grads = grad_psi(paper, 3, chart.points)
     assert np.abs(grads).max() <= paper.c_rho * paper.c_rho_inv + 1e-9
 
-
-# -- size bound --------------------------------------------------------------
-
-def test_size_bound_zero_function(paper):
-    assert size_bound_check(paper, 0.0, [0.2] * 4, 3) == 0.0
-
-
-def test_size_bound_dominates_flat_volume():
-    flat = make_instance("flat", b0=0.3, b1=0.5)
-    bound = size_bound_check(flat, 1.0, [0.2] * 4, 3)
-    assert bound >= 0.008  # infinite Lipschitz factor dominates trivially
-
-
-def test_size_bound_dominates_measured(paper):
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        half = rng.uniform(0.03, 0.2, size=4)
-        boxes = [(-h, h) for h in half[[0, 1, 2]]]
-
-        def indicator(p, h3=half[3]):
-            return (np.abs(p[:, 3]) <= h3).astype(float)
-
-        measured = abs(surface_integral(paper, indicator, 3, 24, boxes=boxes))
-        bound = size_bound_check(paper, 1.0, 2.0 * half, 3)
-        assert bound >= measured * (1.0 - 1e-9)
-
-
-def test_surface_integral_rejects_bad_axis(paper):
-    with pytest.raises(ConstraintError):
-        surface_integral(paper, lambda p: np.ones(len(p)), 9, 4)

@@ -6,53 +6,11 @@ from oscsurf.fields import FDField
 from oscsurf.instance import make_instance
 from oscsurf.kernel import (
     QuadPolicy,
-    constant_family,
+    TestFunctionFamily,
     eval_I,
     extremizer_family,
+    indicator_factor,
 )
-from oscsurf.wavepackets import (
-    random_band_limited,
-    read_signal_binary,
-    read_signal_text,
-    signal_grid,
-    write_signal_binary,
-    write_signal_text,
-)
-
-
-def test_signal_text_roundtrip(tmp_path):
-    grid = signal_grid(20.0)
-    f = random_band_limited(np.random.default_rng(0), grid, 15.0)
-    path = tmp_path / "sig.txt"
-    write_signal_text(path, f)
-    back = read_signal_text(path)
-    assert back.n == f.n
-    assert back.x0 == f.x0 and back.dx == f.dx
-    assert np.allclose(back.values, f.values, atol=0, rtol=0)
-
-
-def test_signal_binary_roundtrip(tmp_path):
-    grid = signal_grid(20.0)
-    f = random_band_limited(np.random.default_rng(1), grid, 15.0)
-    path = tmp_path / "sig.bin"
-    write_signal_binary(path, f)
-    back = read_signal_binary(path)
-    assert back.x0 == f.x0 and back.dx == f.dx
-    assert np.array_equal(back.values, f.values)
-
-
-def test_signal_binary_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ConstraintError):
-        read_signal_binary(path)
-
-
-def test_signal_text_rejects_nonuniform(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0.0 1.0 0.0\n0.1 1.0 0.0\n0.3 1.0 0.0\n")
-    with pytest.raises(ConstraintError):
-        read_signal_text(path)
 
 
 # -- the d = 3 low-discrepancy path ---------------------------------------------
@@ -62,7 +20,8 @@ QUICK_QMC = QuadPolicy(qmc_log2_nodes=16)
 
 def test_d3_constant_family_lambda_independent():
     inst = make_instance("tilted", d=3, b0=0.3, b1=0.5)
-    fam = constant_family(inst)
+    fam = TestFunctionFamily(kind="user", inst=inst,
+                             factors=[indicator_factor(-inst.b1, inst.b1)] * inst.dim)
     diag = {}
     vals = [eval_I(inst, fam, lam, quad=QUICK_QMC, diagnostics=diag)
             for lam in (25.0, 100.0)]
@@ -85,7 +44,8 @@ def test_d3_extremizer_two_seed_agreement():
 def test_d3_check_off_runs_one_scramble():
     from oscsurf.kernel import _qmc_value, _support_boxes
     inst = make_instance("tilted", d=3, b0=0.3, b1=0.5)
-    fam = constant_family(inst)
+    fam = TestFunctionFamily(kind="user", inst=inst,
+                             factors=[indicator_factor(-inst.b1, inst.b1)] * inst.dim)
     quad = QuadPolicy(qmc_log2_nodes=10, check=False)
     diag = {}
     val = eval_I(inst, fam, 25.0, quad=quad, diagnostics=diag)

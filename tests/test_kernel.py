@@ -14,6 +14,7 @@ from oscsurf.fields import (
 from oscsurf.geometry import build_chart, graph_solve, graph_solve_grid
 from oscsurf.instance import make_instance
 from oscsurf.kernel import (
+    LineFactor,
     QuadPolicy,
     TestFunctionFamily,
     _ORACLE_BLOCK,
@@ -25,7 +26,6 @@ from oscsurf.kernel import (
     _trapezoid_blocks,
     calibrate_extremizer,
     classify_region,
-    constant_family,
     decay_fit,
     eval_I,
     extremizer_family,
@@ -152,14 +152,20 @@ def test_eval_zero_family(paper):
     assert eval_I(paper, fam, 100.0) == 0.0
 
 
+def one_family(inst):
+    """f_j identically one on the box: a family with no phase."""
+    return TestFunctionFamily(kind="user", inst=inst,
+                              factors=[indicator_factor(-inst.b1, inst.b1)] * inst.dim)
+
+
 def test_eval_lambda_constraint(paper):
-    fam = constant_family(paper)
+    fam = one_family(paper)
     with pytest.raises(ConstraintError):
         eval_I(paper, fam, 4.0)  # 4^(-1/2) = 0.5 > b1 - b0
 
 
 def test_eval_no_oscillation_constant_in_lambda(tilted):
-    fam = constant_family(tilted)
+    fam = one_family(tilted)
     vals = [eval_I(tilted, fam, lam) for lam in (25.0, 100.0, 400.0)]
     assert vals[0].real > 0
     assert max(abs(v - vals[0]) for v in vals) < 1e-12 * abs(vals[0])
@@ -169,7 +175,10 @@ def test_eval_multilinearity(paper):
     rng = np.random.default_rng(3)
     fam = random_bump_family(paper, rng, normalized=False)
     base = eval_I(paper, fam, 50.0)
-    scaled = eval_I(paper, fam.with_slot(1, fam.factors[1].scaled(2 + 1j)), 50.0)
+    factors = list(fam.factors)
+    factors[1] = factors[1].scaled(2 + 1j)
+    scaled = eval_I(paper, TestFunctionFamily(kind="user", inst=paper,
+                                              factors=factors), 50.0)
     assert abs(scaled - (2 + 1j) * base) <= 1e-10 * abs((2 + 1j) * base)
 
 
@@ -177,7 +186,10 @@ def test_eval_conjugation_symmetry(paper):
     rng = np.random.default_rng(4)
     fam = random_bump_family(paper, rng, normalized=False)
     a = eval_I(paper, fam, 50.0)
-    b = eval_I(paper, fam.conjugated(), -50.0)
+    conj = [LineFactor(f.lo, f.hi, lambda x, g=f.func: np.conj(g(x)), f.l2,
+                       phase_rate=f.phase_rate) for f in fam.factors]
+    b = eval_I(paper, TestFunctionFamily(kind="user", inst=paper,
+                                         factors=conj), -50.0)
     assert abs(abs(a) - abs(b)) <= 1e-10 * abs(a)
     assert abs(np.conj(a) - b) <= 1e-10 * abs(a)
 
@@ -295,7 +307,7 @@ def test_normalized_extremizer_slope(paper):
 
 
 def test_zero_phase_flat_slope(tilted):
-    rep = decay_fit(tilted, constant_family(tilted), SWEEP[:4])
+    rep = decay_fit(tilted, one_family(tilted), SWEEP[:4])
     assert rep.slope == pytest.approx(0.0, abs=1e-9)
 
 

@@ -6,15 +6,13 @@ from oscsurf.exprs import as_expr, evaluate_chunked
 from oscsurf.fields import BumpField, PolynomialField
 from oscsurf.geometry import cached_chart
 from oscsurf.instance import make_instance
+from oscsurf.kernel import normal_projection
 from oscsurf.tangent import (
     TangentField,
-    apply_X,
-    apply_X_star,
     decay_bound_probe,
     ibp_identity_check,
     l_operator,
     phase_with_modulation,
-    projection_of_phase_gradient,
 )
 
 
@@ -75,13 +73,13 @@ def test_tangency_all_fields(paper):
 def test_apply_to_rho_is_zero_pointwise(paper):
     x = np.array([0.2, -0.1, 0.3, 0.05])
     for fld in all_fields(paper):
-        assert apply_X(fld, paper.rho, x) == pytest.approx(0.0, abs=1e-12)
+        assert fld.apply(paper.rho).value(x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_constant_gradient_projection_value(tilted):
     # rho = sum of coordinates: X_1 x_1 = 1 - 1/(2d) * 1 = 3/4
     fld = TangentField(tilted, index=0)
-    val = apply_X(fld, coord(4, 0), np.array([0.1, 0.0, -0.2, 0.3]))
+    val = fld.apply(coord(4, 0)).value(np.array([0.1, 0.0, -0.2, 0.3]))
     assert val == pytest.approx(0.75)
 
 
@@ -89,7 +87,7 @@ def test_apply_matches_fd_directional_derivative(paper):
     rng = np.random.default_rng(1)
     pts = rng.uniform(-0.4, 0.4, size=(20, 4))
     fld = TangentField(paper, index=1)
-    coeffs = np.stack([apply_X(fld, coord(4, j), pts) for j in range(4)],
+    coeffs = np.stack([fld.apply(coord(4, j)).value(pts) for j in range(4)],
                       axis=-1)
     h = 1e-6
     fd = np.zeros(len(pts))
@@ -98,7 +96,7 @@ def test_apply_matches_fd_directional_derivative(paper):
         up[:, j] += h
         dn[:, j] -= h
         fd += coeffs[:, j] * (paper.phi.eval(up) - paper.phi.eval(dn)) / (2 * h)
-    assert np.allclose(apply_X(fld, paper.phi, pts), fd, atol=1e-6)
+    assert np.allclose(fld.apply(paper.phi).value(pts), fd, atol=1e-6)
 
 
 def test_dual_constant_gradient_formula(tilted):
@@ -107,14 +105,14 @@ def test_dual_constant_gradient_formula(tilted):
     fld = TangentField(tilted, index=0)
     f = PolynomialField(4, {(1, 0, 0, 0): 2.0, (0, 0, 1, 0): 1.0},
                         half_widths=0.5)
-    val = apply_X_star(fld, f, np.zeros(4))
+    val = fld.apply_dual(f).value(np.zeros(4))
     assert val == pytest.approx(-2.0 + 0.25 * 3.0)
 
 
 def test_dual_kills_constants_for_flat_gradient(tilted):
     fld = TangentField(tilted, index=0)
     one = PolynomialField(4, {(0, 0, 0, 0): 1.0}, half_widths=0.5)
-    assert apply_X_star(fld, one, np.array([0.1, 0.2, 0.3, -0.1])) \
+    assert fld.apply_dual(one).value(np.array([0.1, 0.2, 0.3, -0.1])) \
         == pytest.approx(0.0, abs=1e-14)
 
 
@@ -139,7 +137,10 @@ def test_projection_identity(paper):
     for _ in range(20):
         y = rng.uniform(-0.4, 0.4, size=4)
         xi = rng.uniform(-20, 20, size=4)
-        applied, proj = projection_of_phase_gradient(paper, y, xi, 50.0)
+        phase = phase_with_modulation(paper, 50.0, xi)
+        applied = np.array([TangentField(paper, index=i).apply(phase).value(y)
+                            for i in range(4)])
+        proj = normal_projection(paper, y, xi, 50.0)
         assert np.abs(applied - proj).max() < 1e-10
 
 
