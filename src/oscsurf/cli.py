@@ -101,7 +101,14 @@ def _read_table(sec, key, dim, b1):
 
 def _instance_from_config(cfg):
     """The [instance] section as a ProblemInstance.  d is required for
-    custom, sets flat and tilted, and must match a paper-* instance."""
+    custom, sets flat and tilted, and must match a paper-* instance; a value
+    that make_instance rejects is a config error."""
+    def make(name, **kwargs):
+        try:
+            return make_instance(name, **kwargs)
+        except ConstraintError as exc:
+            raise ConfigError(f"[instance] {exc}") from exc
+
     name = cfg.get("instance", "name")
     b0 = cfg.get_float("instance", "b0")
     b1 = cfg.get_float("instance", "b1")
@@ -113,10 +120,10 @@ def _instance_from_config(cfg):
         d = cfg.get_int("instance", "d")
         rho = _read_table(sec, "rho_table", 2 * d, b1)
         phi = _read_table(sec, "phi_table", 2 * d, b1) if "phi_table" in sec else None
-        return make_instance("custom", b0=b0, b1=b1, rho=rho, phi=phi,
-                             grid_density=density)
+        return make("custom", b0=b0, b1=b1, rho=rho, phi=phi,
+                    grid_density=density)
     d = cfg.get_int("instance", "d") if "d" in sec else None
-    inst = make_instance(name, b0=b0, b1=b1, d=d, grid_density=density)
+    inst = make(name, b0=b0, b1=b1, d=d, grid_density=density)
     if d is not None and inst.d != d:
         raise ConfigError(f"[instance] d = {d} disagrees with {name}, "
                           f"which has d = {inst.d}")

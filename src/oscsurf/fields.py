@@ -71,11 +71,10 @@ class SmoothField:
     # factors g_j as callables on 1-D arrays; None for other fields
     axis_factors = None
 
-    def along_axis(self, j0, slice_pts):
-        """The restriction v -> f(slice point with v inserted at axis j0) for
-        fixed (n, dim - 1) slice points, as a callable on a scalar or an
-        (n,) array.  The returned values may share a buffer that the next
-        call overwrites.  This version writes the j0 column of one
+    def on_lines(self, alpha, j0, slice_pts):
+        """The restriction v -> d^alpha f(slice point with v inserted at axis
+        j0) for fixed (n, dim - 1) slice points, as a callable on a scalar or
+        an (n,) array.  This version writes the j0 column of one
         preallocated (n, dim) point array and evaluates the field there."""
         slice_pts = np.asarray(slice_pts, dtype=float)
         pts = np.empty((slice_pts.shape[0], self.dim))
@@ -84,9 +83,25 @@ class SmoothField:
 
         def restricted(v):
             pts[:, j0] = v
-            return self.eval(pts)
+            return self.deriv(alpha, pts)
 
         return restricted
+
+    def along_axis(self, j0, slice_pts):
+        """on_lines of f; the values may share a buffer the next call reuses."""
+        return self.on_lines((0,) * self.dim, j0, slice_pts)
+
+
+def _power_table(column):
+    """(j, e) -> column(j) ** e, each computed once; e = 1 is the column."""
+    table = {}
+
+    def power(j, e):
+        if (j, e) not in table:
+            table[j, e] = column(j) if e == 1 else column(j) ** e
+        return table[j, e]
+
+    return power
 
 
 class PolynomialField(SmoothField):
@@ -124,15 +139,47 @@ class PolynomialField(SmoothField):
         return out
 
     def _deriv(self, alpha, pts):
-        terms = self._derived_terms(alpha)
+        power = _power_table(lambda j: pts[..., j])
         out = np.zeros(pts.shape[:-1])
-        for expo, coeff in terms.items():
-            term = np.full(pts.shape[:-1], coeff)
+        for expo, coeff in self._derived_terms(alpha).items():
+            term = coeff
             for j, e in enumerate(expo):
                 if e:
-                    term = term * pts[..., j] ** e
+                    term = term * power(j, e)
             out += term
         return out
+
+    def on_lines(self, alpha, j0, slice_pts):
+        """_deriv(alpha, .) on the axis lines, bit for bit: the factors before
+        j0 (all factors, for a term constant along the line) and the sum of
+        the leading constant terms are multiplied and added once."""
+        slice_pts = np.asarray(slice_pts, dtype=float)
+        power = _power_table(lambda j: slice_pts[:, j - (j > j0)])
+        head = np.zeros(slice_pts.shape[0])
+        rest = []  # (product before j0, exponent of v, factors after j0)
+        for expo, term in self._derived_terms(alpha).items():
+            ev = expo[j0]
+            for j in range(j0 if ev else self.dim):
+                if expo[j]:
+                    term = term * power(j, expo[j])
+            if ev or rest:
+                rest.append((term, ev, [power(j, expo[j]) for j in
+                                        range(j0 + 1, self.dim) if ev and expo[j]]))
+            else:
+                head += term
+
+        def restricted(v):
+            v_power = _power_table(lambda j: np.full(len(head), v, dtype=float))
+            out = head.copy()
+            for term, ev, after in rest:
+                if ev:
+                    term = term * v_power(j0, ev)
+                    for f in after:
+                        term = term * f
+                out += term
+            return out
+
+        return restricted
 
     def along_axis(self, j0, slice_pts):
         """Polynomial restriction to the axis lines: the coefficient arrays

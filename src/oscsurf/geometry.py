@@ -15,29 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, NoRootError
+from .errors import ConstraintError, NonConvergenceError, NoRootError
 from .fields import unit_index
 
 DEFAULT_TOL_SCALE = 1e-12
 _NEWTON_MAX = 80
 
 
-def _assemble(slice_pts, j0, vals, dim):
-    """Insert the solved coordinate into slice points."""
-    out = np.empty(slice_pts.shape[:-1] + (dim,))
-    out[..., :j0] = slice_pts[..., :j0]
-    out[..., j0] = vals
-    out[..., j0 + 1:] = slice_pts[..., j0:]
-    return out
-
-
 def graph_solve_grid(inst, j0, slice_pts, tol=None):
     """Vectorized root solve of rho = 0 along axis j0 over slice points.
 
     Returns (values, found): the solved coordinate per slice point and a mask
-    of points whose axis segment inside the box actually crosses M.  Newton
-    iteration with clipping; monotonicity of rho along the axis guarantees a
-    bracket whenever the endpoint signs differ.
+    of points whose axis segment inside the box actually crosses M.  Clipped
+    Newton iteration on rho's restriction to the axis lines (on_lines);
+    monotonicity of rho along the axis guarantees a bracket whenever the
+    endpoint signs differ.  A found point with |rho| > tol at its assembled
+    root raises NonConvergenceError.
     """
     dim = inst.dim
     if not 0 <= j0 < dim:
@@ -46,25 +39,28 @@ def graph_solve_grid(inst, j0, slice_pts, tol=None):
         tol = DEFAULT_TOL_SCALE * (1.0 + abs(inst.b1))
     slice_pts = np.asarray(slice_pts, dtype=float)
     b = inst.b1
-    alpha1 = unit_index(dim, j0)
+    rho = inst.rho.on_lines((0,) * dim, j0, slice_pts)
+    d_rho = inst.rho.on_lines(unit_index(dim, j0), j0, slice_pts)
 
-    lo = np.full(slice_pts.shape[:-1], -b)
-    hi = np.full(slice_pts.shape[:-1], b)
-    f_lo = inst.rho.eval(_assemble(slice_pts, j0, lo, dim))
-    f_hi = inst.rho.eval(_assemble(slice_pts, j0, hi, dim))
+    f_lo, f_hi = rho(-b), rho(b)
     found = np.sign(f_lo) != np.sign(f_hi)
     found |= (f_lo == 0.0) | (f_hi == 0.0)
 
-    x = 0.5 * (lo + hi)
+    x = np.zeros(slice_pts.shape[0])
     for _ in range(_NEWTON_MAX):
-        pts = _assemble(slice_pts, j0, x, dim)
-        f = inst.rho.eval(pts)
+        f = rho(x)
         active = found & (np.abs(f) > tol)
         if not np.any(active):
             break
-        df = inst.rho.deriv(alpha1, pts)
+        df = d_rho(x)
         step = np.where(active, f / np.where(df == 0.0, 1.0, df), 0.0)
         x = np.clip(x - step, -b, b)
+    residual = inst.rho.eval(np.insert(slice_pts[found], j0, x[found], axis=1))
+    missed = np.count_nonzero(~(np.abs(residual) <= tol))
+    if missed:
+        raise NonConvergenceError(
+            f"root solve along axis {j0}: {missed} of {found.sum()} points "
+            f"left |rho| > {tol:.3g} after {_NEWTON_MAX} Newton steps")
     return x, found
 
 
@@ -143,7 +139,7 @@ def chart_on_surface(inst, j0, slice_pts, weights):
     points whose axis segment misses M, and fold the graph density into the
     weights."""
     vals, found = graph_solve_grid(inst, j0, slice_pts)
-    pts = _assemble(slice_pts[found], j0, vals[found], inst.dim)
+    pts = np.insert(slice_pts[found], j0, vals[found], axis=1)
     g = grad_psi(inst, j0, pts)
     density = np.sqrt(1.0 + np.sum(g * g, axis=-1))
     return SurfaceChart(j0=j0, points=pts, weights=weights[found] * density,

@@ -127,6 +127,18 @@ d = 3
     assert manifest["config"]["instance"]["d"] == "3"
 
 
+@pytest.mark.parametrize("section, detail", [
+    ("name = flat\nd = 1\n", "d must be at least 2"),
+    ("name = paper-even-d2\nb0 = 0.6\nb1 = 0.5\n", "need 0 < b0 < b1"),
+])
+def test_out_of_range_instance_value_is_config_error(tmp_path, section, detail):
+    code, out, manifest = run(tmp_path, "certify", "--config",
+                              write_config(tmp_path, "[instance]\n" + section))
+    assert code == 2
+    assert [c["name"] for c in manifest["checks"]] == ["config"]
+    assert detail in manifest["checks"][0]["detail"]
+
+
 def test_certify_pass_with_report(tmp_path):
     code, out, manifest = run(tmp_path, "certify",
                               "--config", write_config(tmp_path, """
@@ -238,6 +250,28 @@ lambda = 25 50 100 200
     # the sweep's artifacts are still written and listed
     assert (out / "decay_values.csv").exists()
     assert sorted(manifest["artifacts"]) == sorted(os.listdir(out))
+
+
+def test_decay_root_solve_non_convergence_exit_code(tmp_path, monkeypatch):
+    from oscsurf import geometry
+    # cubic along the chart axis x_2' (d_4 rho >= 3/4 on the box), so one
+    # Newton step from 0 leaves a residual above the root-solve tolerance
+    rho = tmp_path / "rho.txt"
+    rho.write_text("1 0 0 0 : 1.0\n0 1 0 0 : 1.0\n0 0 1 0 : 1.0\n"
+                   "0 0 0 1 : 1.0\n0 0 0 3 : 1.0\n1 0 0 2 : 0.5\n"
+                   "1 0 1 0 : 1.0\n")
+    monkeypatch.setattr(geometry, "_NEWTON_MAX", 1)
+    code, _, manifest = run(tmp_path, "decay", "--config",
+                            write_config(tmp_path, f"""
+[instance]
+name = custom
+d = 2
+rho_table = {rho}
+"""))
+    assert code == 3
+    failed = [c for c in manifest["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["non-convergence"]
+    assert "root solve along axis 3" in failed[0]["detail"]
 
 
 def test_ibp_subcommand(tmp_path):

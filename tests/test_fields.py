@@ -14,7 +14,9 @@ from oscsurf.fields import (
     example_phi_even,
     example_phi_odd,
     example_rho,
+    multi_indices,
     parse_polynomial_table,
+    unit_index,
 )
 
 
@@ -161,6 +163,50 @@ def test_along_axis_matches_eval_on_the_line(terms, j0):
         want = poly.eval(np.insert(slice_pts, j0, v, axis=1))
         assert np.allclose(poly_line(v), want, rtol=1e-14, atol=1e-15)
         assert np.array_equal(generic_line(v), want)
+
+
+def _deriv_full_loop(poly, alpha, pts):
+    """PolynomialField._deriv as it was before the per-call power table:
+    each term starts from np.full and raises every column it uses."""
+    out = np.zeros(pts.shape[:-1])
+    for expo, coeff in poly._derived_terms(alpha).items():
+        term = np.full(pts.shape[:-1], coeff)
+        for j, e in enumerate(expo):
+            if e:
+                term = term * pts[..., j] ** e
+        out += term
+    return out
+
+
+def _random_cubic_terms(seed):
+    rng = np.random.default_rng(seed)
+    return {tuple(int(e) for e in rng.integers(0, 4, size=4)): float(rng.normal())
+            for _ in range(12)}
+
+
+@pytest.mark.parametrize("terms", LINE_FIELDS + [_random_cubic_terms(5)])
+def test_deriv_power_table_is_bitwise_the_full_loop(terms):
+    poly = PolynomialField(4, terms, half_widths=0.5)
+    pts = np.random.default_rng(8).uniform(-0.5, 0.5, size=(200, 4))
+    for alpha in multi_indices(4, 2):
+        assert np.array_equal(poly.deriv(alpha, pts),
+                              _deriv_full_loop(poly, alpha, pts)), alpha
+
+
+@pytest.mark.parametrize("terms", LINE_FIELDS + [_random_cubic_terms(6)])
+@pytest.mark.parametrize("j0", range(4))
+def test_on_lines_is_bitwise_deriv_on_the_assembled_points(terms, j0):
+    poly = PolynomialField(4, terms, half_widths=0.5)
+    generic = ScaledSumField([1.0], [poly])  # the base class's assembly path
+    rng = np.random.default_rng(j0)
+    slice_pts = rng.uniform(-0.5, 0.5, size=(50, 3))
+    for alpha in ((0, 0, 0, 0), unit_index(4, j0)):
+        poly_line = poly.on_lines(alpha, j0, slice_pts)
+        generic_line = generic.on_lines(alpha, j0, slice_pts)
+        for v in (-0.5, rng.uniform(-0.5, 0.5, size=50), 0.0, 0.5):
+            want = poly.deriv(alpha, np.insert(slice_pts, j0, v, axis=1))
+            assert np.array_equal(poly_line(v), want), (alpha, v)
+            assert np.array_equal(generic_line(v), want), (alpha, v)
 
 
 def test_parse_polynomial_table_roundtrip():

@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oscsurf.errors import BoundaryFrequencyError, ConstraintError
+from oscsurf import geometry
+from oscsurf.errors import BoundaryFrequencyError, ConstraintError, NonConvergenceError
 from oscsurf.fields import (
     BumpField,
     PolynomialField,
     ScaledSumField,
     example_phi_even,
+    unit_index,
 )
 from oscsurf.geometry import build_chart, graph_solve, graph_solve_grid
 from oscsurf.instance import make_instance
@@ -498,6 +500,55 @@ def _cubic_rho():
                                (1, 0, 1, 0): 1.0}, half_widths=0.5)
 
 
+def _newton_on_assembled_points(inst, j0, slice_pts):
+    """graph_solve_grid as it was before the line restriction: every
+    Newton step assembles the full points and evaluates rho there."""
+    dim, b = inst.dim, inst.b1
+    tol = geometry.DEFAULT_TOL_SCALE * (1.0 + abs(b))
+
+    def at(v):
+        return np.insert(slice_pts, j0, v, axis=1)
+
+    lo = np.full(len(slice_pts), -b)
+    hi = np.full(len(slice_pts), b)
+    f_lo, f_hi = inst.rho.eval(at(lo)), inst.rho.eval(at(hi))
+    found = np.sign(f_lo) != np.sign(f_hi)
+    found |= (f_lo == 0.0) | (f_hi == 0.0)
+    x = 0.5 * (lo + hi)
+    for _ in range(80):
+        f = inst.rho.eval(at(x))
+        active = found & (np.abs(f) > tol)
+        if not np.any(active):
+            break
+        df = inst.rho.deriv(unit_index(dim, j0), at(x))
+        step = np.where(active, f / np.where(df == 0.0, 1.0, df), 0.0)
+        x = np.clip(x - step, -b, b)
+    return x, found
+
+
+@pytest.mark.parametrize("name", ["cubic", "paper-even-d2", "paper-odd-d3"])
+def test_graph_solve_grid_is_bitwise_newton_on_assembled_points(name):
+    inst = (make_instance("custom", b0=0.3, b1=0.5, rho=_cubic_rho())
+            if name == "cubic" else make_instance(name, b0=0.3, b1=0.5))
+    rng = np.random.default_rng(17)
+    for j0 in range(inst.dim):
+        slice_pts = rng.uniform(-0.5, 0.5, size=(3000, inst.dim - 1))
+        got, found = graph_solve_grid(inst, j0, slice_pts)
+        want, want_found = _newton_on_assembled_points(inst, j0, slice_pts)
+        assert np.array_equal(found, want_found) and found.any(), j0
+        assert np.array_equal(got, want), j0
+
+
+def test_graph_solve_grid_raises_on_a_residual_above_tol(monkeypatch):
+    inst = make_instance("custom", b0=0.3, b1=0.5, rho=_cubic_rho())
+    slice_pts = np.random.default_rng(3).uniform(-0.5, 0.5, size=(500, 3))
+    graph_solve_grid(inst, 3, slice_pts)  # converges with the full budget
+    # one Newton step from 0 leaves the cubic's residual above tol
+    monkeypatch.setattr(geometry, "_NEWTON_MAX", 1)
+    with pytest.raises(NonConvergenceError, match="points left"):
+        graph_solve_grid(inst, 3, slice_pts)
+
+
 def test_dense_bisection_matches_graph_solve():
     inst = make_instance("custom", b0=0.3, b1=0.5, rho=_cubic_rho())
     # random slice points: none has its root exactly at an end of the line,
@@ -582,6 +633,5 @@ def test_quad_policy_node_cap(paper):
     tight = QuadPolicy(base_nodes=14, nodes_per_radian=0.7, max_nodes=20,
                        check=False)
     fam = random_bump_family(paper, np.random.default_rng(6), normalized=False)
-    from oscsurf.errors import NonConvergenceError
     with pytest.raises(NonConvergenceError):
         eval_I(paper, fam, 800.0, quad=tight)
