@@ -130,6 +130,14 @@ def _instance_from_config(cfg):
     return inst
 
 
+def _count(cfg, section, key, least):
+    """An integer config value; below least it is a config error."""
+    n = cfg.get_int(section, key)
+    if n < least:
+        raise ConfigError(f"{section}.{key} must be at least {least}, got {n}")
+    return n
+
+
 def _one_lambda(args, cfg, section):
     """The single frequency of ibp and kernel: --lambda, else the config."""
     lams = args.lam or [cfg.get_float(section, "lambda")]
@@ -146,7 +154,7 @@ def cmd_tiling(cfg, manifest, args):
     from .tiling import boxsize_battery, build_tiling, check_tiling_exact, tiling_rows
     lams = args.lam or cfg.get_floats("tiling", "lambda")
     xi_max = cfg.get_float("tiling", "xi_max")
-    n_random = cfg.get_int("tiling", "n_random")
+    n_random = _count(cfg, "tiling", "n_random", 1)
     seed = args.seed if args.seed is not None else cfg.get_int("tiling", "seed")
     for lam in lams:
         t = build_tiling(lam, xi_max)
@@ -164,7 +172,7 @@ def cmd_tiling(cfg, manifest, args):
 def cmd_window(cfg, manifest, args):
     from .window import make_window
     w = make_window(profile=cfg.get("window", "profile"),
-                    grid=cfg.get_int("window", "grid"))
+                    grid=_count(cfg, "window", "grid", 1))
     _write_csv(manifest.artifact("window_samples.csv"), ["x", "phi"],
                list(zip(w.grid.tolist(), w.samples.tolist())))
     _write_csv(manifest.artifact("window_transform.csv"), ["u", "phi_hat"],
@@ -180,7 +188,7 @@ def cmd_reconstruct(cfg, manifest, args):
     from .window import make_window
     seed = args.seed if args.seed is not None else cfg.get_int("reconstruct", "seed")
     tol = cfg.get_float("reconstruct", "tolerance")
-    n = cfg.get_int("reconstruct", "n_signals")
+    n = _count(cfg, "reconstruct", "n_signals", 1)
     frac = cfg.get_float("reconstruct", "xi_band")
     w = make_window()  # one window for both criteria
     for res in (check_reconstruction(n_signals=n, tol=tol, seed=seed,
@@ -225,8 +233,11 @@ def cmd_ibp(cfg, manifest, args):
     lam = _one_lambda(args, cfg, "ibp")
     inst.require_lambda(lam)
     orders = cfg.get_ints("ibp", "orders")
+    if not orders or not all(1 <= N <= 3 for N in orders):
+        raise ConfigError("ibp.orders must be one or more of 1, 2, 3, "
+                          f"got {orders}")
     tol = cfg.get_float("ibp", "tolerance")
-    nodes = cfg.get_int("ibp", "nodes")
+    nodes = _count(cfg, "ibp", "nodes", 1)
     xi = np.array(cfg.get_floats("ibp", "xi"))
     if len(xi) != inst.dim:
         raise ConfigError(f"ibp.xi needs {inst.dim} components")
@@ -252,13 +263,10 @@ def cmd_kernel(cfg, manifest, args):
     inst = _instance_from_config(cfg)
     lam = _one_lambda(args, cfg, "kernel")
     seed = args.seed if args.seed is not None else cfg.get_int("kernel", "seed")
-    n_samples = cfg.get_int("kernel", "n_samples")
-    if n_samples < 1:
-        raise ConfigError(f"kernel.n_samples must be at least 1, got {n_samples}")
     res = check_kernel_diagnostics(
-        n_samples=n_samples, lam=lam,
+        n_samples=_count(cfg, "kernel", "n_samples", 1), lam=lam,
         tol=cfg.get_float("kernel", "oracle_tolerance"),
-        oracle_nodes=cfg.get_int("kernel", "oracle_nodes"), seed=seed,
+        oracle_nodes=_count(cfg, "kernel", "oracle_nodes", 2), seed=seed,
         inst=inst)
     manifest.check(res.name, res.status, res.detail, elapsed=res.elapsed)
 
@@ -295,7 +303,7 @@ def cmd_decay(cfg, manifest, args):
         name, reports = "decay-slope", [("extremizer", res.extras["report"])]
     elif family_kind == "bumps":
         res = check_upper_bound(
-            n_families=cfg.get_int("decay", "n_families"), seed=seed,
+            n_families=_count(cfg, "decay", "n_families", 1), seed=seed,
             inst=inst, lambdas=lams,
             max_freq=cfg.get_float("decay", "max_freq"),
             normalized=cfg.get_bool("decay", "normalized"))

@@ -234,17 +234,12 @@ def bump1d_value(k, t, half_width, order):
     return out
 
 
-_BUMP_POLYS = {}
-
-
+@functools.cache
 def _bump1d_polys(order):
-    if order not in _BUMP_POLYS:
-        base = np.polynomial.Polynomial([1.0, 0.0, -1.0]) ** order
-        polys = [base]
-        for _ in range(2 * order):
-            polys.append(polys[-1].deriv())
-        _BUMP_POLYS[order] = polys
-    return _BUMP_POLYS[order]
+    polys = [np.polynomial.Polynomial([1.0, 0.0, -1.0]) ** order]
+    for _ in range(2 * order):
+        polys.append(polys[-1].deriv())
+    return polys
 
 
 class BumpField(SmoothField):

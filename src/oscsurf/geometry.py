@@ -11,6 +11,8 @@ does not cross M contribute zero.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,16 +86,15 @@ def grad_psi(inst, j0, points_on_m):
     return -np.delete(grad, j0, axis=-1) / grad[..., j0:j0 + 1]
 
 
-_GL_RULES = {}
+@functools.cache
+def _legendre_rule(n):
+    return np.polynomial.legendre.leggauss(n)
 
 
 def gauss_legendre(n, lo, hi):
     """n-node Gauss-Legendre rule on [lo, hi], as fresh arrays.  The [-1, 1]
     rule (an eigenvalue solve) is computed once per n."""
-    n = int(n)
-    if n not in _GL_RULES:
-        _GL_RULES[n] = np.polynomial.legendre.leggauss(n)
-    x, w = _GL_RULES[n]
+    x, w = _legendre_rule(int(n))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -175,18 +176,21 @@ def build_chart(inst, j0, boxes, nodes_per_axis):
 
 
 _CHART_CACHE_NODES = 2_000_000
+# per instance, charts keyed on the quadrature geometry in LRU order; an
+# instance's charts die with it
+_CHARTS = weakref.WeakKeyDictionary()
 
 
 def cached_chart(inst, j0, boxes, nodes_per_axis):
-    """Chart cache keyed on the quadrature geometry.
+    """Chart cache keyed on the instance and the quadrature geometry.
 
-    Charts are immutable.  The cache holds at most _CHART_CACHE_NODES chart
-    nodes in all, evicting least-recently-used charts; a chart larger than
-    that is built and returned but not kept.
+    Charts are immutable.  Each instance's cache holds at most
+    _CHART_CACHE_NODES chart nodes in all, evicting least-recently-used
+    charts; a chart larger than that is built and returned but not kept.
     """
-    key = ("chart", j0, tuple((round(lo, 14), round(hi, 14)) for lo, hi in boxes),
+    key = (j0, tuple((round(lo, 14), round(hi, 14)) for lo, hi in boxes),
            tuple(np.atleast_1d(nodes_per_axis).tolist()))
-    cache = inst._caches.setdefault("charts", {})
+    cache = _CHARTS.setdefault(inst, {})
     if key in cache:
         chart = cache.pop(key)
         cache[key] = chart  # refresh LRU order

@@ -10,6 +10,7 @@ is tested, not assumed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +77,7 @@ class ProblemInstance:
     c_amp: float = 0.0
     grid_density: int = 9
     name: str = "custom"
-    _caches: dict = field(default_factory=dict, repr=False)
+    axis_inf: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -96,8 +97,9 @@ class ProblemInstance:
             # lenient at construction: degenerate test fields (e.g. the flat
             # hyperplane) are allowed to exist; strict checks live in
             # admissible_constants and in the operations that need them
-            consts = admissible_constants(self, self.grid_density, strict=False)
-            self.c_rho, self.c_rho_inv, self.c_phi, self.c_amp = consts
+            (self.c_rho, self.c_rho_inv, self.c_phi, self.c_amp,
+             self.axis_inf) = admissible_constants(self, self.grid_density,
+                                                   strict=False)
 
     @property
     def dim(self):
@@ -113,6 +115,15 @@ class ProblemInstance:
                 f"|lambda|^(-1/2) = {abs(lam) ** -0.5:.4g} exceeds "
                 f"min(b1 - b0, 1) = {min(self.b1 - self.b0, 1.0):.4g}")
 
+    @functools.cached_property
+    def phi_axis_sup(self):
+        """Per-axis sup of |d_j Phi| on the 7-point grid over the amplitude
+        box, the bound behind the quadrature's phase rates.  Computed on
+        first use: a construction-time scan would cost every instance a pass
+        over the grid."""
+        pts = _grid_points(self.dim, self.b0, 7)
+        return np.abs(self.grad_phi(pts)).max(axis=0)
+
     def grad_rho(self, pts):
         return _gradient(self.rho, pts)
 
@@ -127,7 +138,8 @@ def _gradient(fld, pts):
 
 
 def admissible_constants(inst, grid_density=9, strict=True):
-    """Grid estimates (c_rho, c_rho_inv, c_phi, c_amp).
+    """Grid estimates (c_rho, c_rho_inv, c_phi, c_amp, axis_inf), axis_inf
+    the per-axis infima of |d_i rho| on the grid.
 
     Raises HypothesisError when min_i |d_i rho| falls below a positive floor
     anywhere on the grid, since every chart and tangential field downstream
@@ -152,8 +164,8 @@ def admissible_constants(inst, grid_density=9, strict=True):
             raise HypothesisError(
                 f"min |d_{j + 1} rho| = {worst:.3g} on the sample grid; the "
                 "gradient-floor hypothesis fails")
-        return c_rho, float("inf"), c_phi, c_amp
-    return c_rho, 1.0 / worst, c_phi, c_amp
+        return c_rho, float("inf"), c_phi, c_amp, axis_inf
+    return c_rho, 1.0 / worst, c_phi, c_amp, axis_inf
 
 
 def default_amplitude(d, b0, b1, order=None):

@@ -170,7 +170,6 @@ class TestFunctionFamily:
     inst: object = None
     factors: list = None
     c_prime: float = 0.1
-    c_lip: float = None
     normalized: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -186,26 +185,25 @@ class TestFunctionFamily:
         return out
 
     def _extremizer_factors(self, lam):
-        key = (lam, self.c_prime)
-        if key not in self._cache:
+        if lam not in self._cache:
             inst = self.inst
             dim = inst.dim
             gphi0 = inst.grad_phi(np.zeros((1, dim)))[0]
             hw = self.c_prime * abs(lam) ** -0.5
-            c_lip = self.c_lip if self.c_lip is not None else inst.c_rho * inst.c_rho_inv
+            lip = inst.c_rho * inst.c_rho_inv
             factors = []
             for j in range(dim):
-                width = hw if j < dim - 1 else c_lip * hw
+                width = hw if j < dim - 1 else lip * hw
                 freq = -lam * gphi0[j] / TWO_PI
                 factors.append(indicator_factor(-width, width, freq=freq,
                                                 label=f"extremizer[{j}]"))
-            self._cache[key] = factors
-        return self._cache[key]
+            self._cache[lam] = factors
+        return self._cache[lam]
 
 
-def extremizer_family(inst, c_prime=0.1, c_lip=None, normalized=False):
+def extremizer_family(inst, c_prime=0.1, normalized=False):
     return TestFunctionFamily(kind="extremizer", inst=inst, c_prime=c_prime,
-                              c_lip=c_lip, normalized=normalized)
+                              normalized=normalized)
 
 
 def random_bump_family(inst, rng, order=6, max_freq=2.0, normalized=True):
@@ -252,12 +250,7 @@ def _axis_phase_rates(inst, lam, factors, j0):
     the oscillating factor contributes |lam| sup|d_j Phi|, each factor its
     modulation rate, and the chart axis feeds through the graph Lipschitz
     bound."""
-    key = ("phi_axis_sup",)
-    if key not in inst._caches:
-        from .instance import _grid_points
-        pts = _grid_points(inst.dim, inst.b0, 7)
-        inst._caches[key] = np.abs(inst.grad_phi(pts)).max(axis=0)
-    sup_dphi = inst._caches[key]
+    sup_dphi = inst.phi_axis_sup
     lip = inst.c_rho * inst.c_rho_inv
     if not np.isfinite(lip):
         lip = 1.0
@@ -412,8 +405,8 @@ def extremizer_quality(inst, fam, lam, j0=None):
 
     Returns (phase_error, containment_margin): the max over chart nodes of
     |lam| * |Phi - linearization| (must stay below pi/4) and the max of
-    |x_{j0}| / (c_lip c' lam^(-1/2)) (must stay below 1 so the widened
-    indicator is identically one on the support of the others).
+    |x_{j0}| / (c_rho c_rho_inv c' lam^(-1/2)) (must stay below 1 so the
+    widened indicator is identically one on the support of the others).
     """
     if j0 is None:
         j0 = inst.dim - 1
@@ -438,8 +431,7 @@ def calibrate_extremizer(inst, fam, lambdas, max_shrink=30):
     c_prime = fam.c_prime
     for _ in range(max_shrink):
         trial = TestFunctionFamily(kind="extremizer", inst=inst,
-                                   c_prime=c_prime, c_lip=fam.c_lip,
-                                   normalized=fam.normalized)
+                                   c_prime=c_prime, normalized=fam.normalized)
         worst_phase = 0.0
         worst_cont = 0.0
         for lam in lambdas:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConstraintError
 from .fields import unit_index
+from .instance import _grid_points
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,9 @@ class NondegeneracyReport:
 
 
 def box_grid(inst, density):
-    axes = [np.linspace(-inst.b1, inst.b1, density)] * inst.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    """The instance's sample grid over [-b1, b1]^(2d); density 1 is the
+    center."""
+    return _grid_points(inst.dim, inst.b1, density)
 
 
 def certify(inst, x_grid, circle_grid_pts, threshold=1e-10, lipschitz_padding=False):

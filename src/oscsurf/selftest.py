@@ -53,6 +53,14 @@ def _paper_instance():
     return make_instance("paper-even-d2", b0=0.3, b1=0.5)
 
 
+def _worst(values):
+    """The largest of values, 0.0 when there are none.  Any NaN makes the
+    result NaN, so a NaN sample fails every `worst <= tol` gate wherever it
+    falls (the builtin max keeps or drops a NaN by its position)."""
+    values = list(values)
+    return float(np.max(values)) if values else 0.0
+
+
 # -- 1 ----------------------------------------------------------------------
 
 @_timed
@@ -91,9 +99,8 @@ def check_reconstruction(n_signals=50, tol=1e-6, seed=2024, band_frac=0.8,
     """Round-trip error of synthesis(analysis(f)) over random band-limited
     signals at lambda in {1, 10, 100}, with window w (default make_window())."""
     w = w if w is not None else make_window()
-    worst = max((wavepackets.round_trip_error(w, t, f)
-                 for t, f in _band_limited_signals(n_signals, seed, band_frac)),
-                default=0.0)
+    worst = _worst(wavepackets.round_trip_error(w, t, f)
+                   for t, f in _band_limited_signals(n_signals, seed, band_frac))
     return CheckResult("reconstruction", worst <= tol,
                        f"max relative round-trip error {worst:.3e} (tol {tol:g})",
                        extras={"worst": worst})
@@ -106,9 +113,8 @@ def check_analysis_bound(n_signals=50, slack=1e-6, seed=2024, band_frac=0.8,
     signals of check_reconstruction."""
     w = w if w is not None else make_window()
     bound = w.analysis_norm_constant + slack
-    worst = max((wavepackets.analysis(w, t, f).norm_squared() / f.norm() ** 2
-                 for t, f in _band_limited_signals(n_signals, seed, band_frac)),
-                default=0.0)
+    worst = _worst(wavepackets.analysis(w, t, f).norm_squared() / f.norm() ** 2
+                   for t, f in _band_limited_signals(n_signals, seed, band_frac))
     return CheckResult("analysis-bound", worst <= bound,
                        f"max energy ratio {worst:.8f} (bound {bound:.6f})",
                        extras={"worst": worst, "bound": bound})
@@ -141,7 +147,7 @@ def check_packet_scaling(n_samples=50, max_spread=10.0, seed=42):
             supports_ok &= ok
             ratios[k].append(ratio)
         drawn += 1
-    spreads = {k: max(v) / min(v) for k, v in ratios.items()}
+    spreads = {k: _worst(v) / float(np.min(v)) for k, v in ratios.items()}
     passed = supports_ok and all(s <= max_spread for s in spreads.values())
     detail = ", ".join(f"k={k}: x{spreads[k]:.2f}" for k in (0, 1, 2))
     return CheckResult("packet-scaling", passed,
@@ -188,7 +194,7 @@ def check_jacobian_homogeneity(n_samples=1000, tol=1e-10, seed=6):
     inst = _paper_instance()
     rng = np.random.default_rng(seed)
     p = nondegen.Partition((0, 2), (1, 3))
-    worst = 0.0
+    deviations = []
     skipped = 0
     for _ in range(n_samples):
         u = rng.uniform(-0.4, 0.4, size=2)
@@ -197,11 +203,12 @@ def check_jacobian_homogeneity(n_samples=1000, tol=1e-10, seed=6):
         radii = (rng.uniform(0.5, 2.0), rng.uniform(20.0, 200.0))
         pairs = [(r * math.cos(theta), r * math.sin(theta)) for r in radii]
         r1, r2 = nondegen.jacobian_homogeneity_probe(inst, p, v, u, pairs)
-        scale = max(r1, r2)
+        scale = _worst((r1, r2))
         if scale < 1e-12:
             skipped += 1
             continue
-        worst = max(worst, abs(r1 - r2) / scale)
+        deviations.append(abs(r1 - r2) / scale)
+    worst = _worst(deviations)
     return CheckResult("jacobian-homogeneity", worst <= tol,
                        f"max ray deviation {worst:.2e} over "
                        f"{n_samples - skipped} samples ({skipped} near-singular)",
@@ -243,11 +250,10 @@ def check_adjoint_tangency(n_points=10**4, n_pairs=20, tangency_tol=1e-8,
     fields = [tangent.TangentField(inst, index=i) for i in range(4)]
     fields += [tangent.TangentField(inst, pair=(a, b))
                for a in range(4) for b in range(4) if a < b]
-    worst_tan = max(float(np.abs(f.tangency_residual(pts)).max())
-                    for f in fields)
+    worst_tan = _worst(np.abs(f.tangency_residual(pts)).max() for f in fields)
 
     from .exprs import as_expr, evaluate_chunked
-    worst_pair = 0.0
+    mismatches = []
     for _ in range(n_pairs):
         hw = rng.uniform(0.12, 0.22, size=2)
         cf = rng.uniform(-0.05, 0.05, size=(2, 4))
@@ -271,7 +277,8 @@ def check_adjoint_tangency(n_points=10**4, n_pairs=20, tangency_tol=1e-8,
                      * evaluate_chunked(as_expr(f), chart.points)
                      * evaluate_chunked(fld.apply_dual(g), chart.points))
         scale = max(abs(lhs), abs(rhs), 1e-12)
-        worst_pair = max(worst_pair, abs(lhs - rhs) / scale)
+        mismatches.append(abs(lhs - rhs) / scale)
+    worst_pair = _worst(mismatches)
     passed = worst_tan <= tangency_tol and worst_pair <= pairing_tol
     return CheckResult("adjoint-tangency", passed,
                        f"max |X rho| {worst_tan:.2e}; "
@@ -311,10 +318,11 @@ def check_upper_bound(n_families=20, seed=1234, inst=None, lambdas=None,
         fam = kernel.random_bump_family(inst, rng, max_freq=max_freq,
                                         normalized=normalized)
         reports.append(kernel.decay_fit(inst, fam, lambdas or LAMBDA_SWEEP))
-    worst_ratio = max((r.upper_ratio_max for r in reports), default=0.0)
+    worst_ratio = _worst(r.upper_ratio_max for r in reports)
     violations = sum(r.growth_violation for r in reports)
     slopes = [r.slope for r in reports] or [math.nan]
-    return CheckResult("upper-bound", violations == 0,
+    return CheckResult("upper-bound",
+                       violations == 0 and not math.isnan(worst_ratio),
                        f"{n_families} families, max scaled ratio "
                        f"{worst_ratio:.4g}, {violations} growth violations, "
                        f"slopes in [{min(slopes):.2f}, {max(slopes):.2f}]",
@@ -338,7 +346,7 @@ def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
     t = tiling.build_tiling(lam, 6 * lam)
     rng = np.random.default_rng(seed)
     samples = []
-    worst = 0.0
+    mismatches = []
     while len(samples) < n_samples:
         # y on M, free coordinates in +-b0/2; xi off cell boundaries
         y = rng.uniform(-0.5 * inst.b0, 0.5 * inst.b0, size=inst.dim)
@@ -352,8 +360,9 @@ def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
         val = kernel.kernel_eval(inst, w, t, y, xi, lam)
         oracle = kernel.kernel_eval_dense(inst, w, t, y, xi, lam,
                                           nodes_per_axis=oracle_nodes)
-        worst = max(worst, abs(val - oracle) / max(abs(oracle), 1e-12))
+        mismatches.append(abs(val - oracle) / max(abs(oracle), 1e-12))
         samples.append((y, xi, val))
+    worst = _worst(mismatches)
 
     far = kernel.kernel_eval(inst, w, t, np.array([5.0, 0.0, 0.0, 0.0]),
                              np.array([7.0, 7.0, 7.0, 7.0]), lam)

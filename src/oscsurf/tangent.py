@@ -23,25 +23,16 @@ below are exercised to quadrature accuracy in the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintError, HypothesisError
 from .exprs import Const, FieldTerm, Sqrt, add, as_expr, div, evaluate_chunked, mul, scale
-from .fields import unit_index
+from .fields import BumpField, PolynomialField, unit_index
 from .geometry import cached_chart
-from .instance import GRADIENT_FLOOR, _grid_points
-
-
-def _axis_gradient_infs(inst, density=7):
-    """Per-axis grid infima of |d_j rho|, cached on the instance."""
-    key = ("axis_grad_infs", density)
-    if key not in inst._caches:
-        pts = _grid_points(inst.dim, inst.b1, density)
-        inst._caches[key] = np.abs(inst.grad_rho(pts)).min(axis=0)
-    return inst._caches[key]
-
+from .instance import GRADIENT_FLOOR
 
 IBP_REFERENCE_NODES = 16
 
@@ -49,7 +40,6 @@ IBP_REFERENCE_NODES = 16
 def _psi_boxes(psi, inst, j0):
     """Quadrature box per slice axis: the support of psi clipped to the
     amplitude box, when psi exposes one; otherwise the amplitude box."""
-    from .fields import BumpField
     if isinstance(psi, BumpField):
         half = psi.support_half_width
         boxes = []
@@ -61,16 +51,6 @@ def _psi_boxes(psi, inst, j0):
             boxes.append((lo, hi))
         return boxes
     return [(-inst.b0, inst.b0)] * (inst.dim - 1)
-
-
-def _rho_partials(inst):
-    key = ("rho_partials",)
-    if key not in inst._caches:
-        dim = inst.dim
-        g = [FieldTerm(inst.rho, unit_index(dim, j)) for j in range(dim)]
-        S = add(*[mul(gj, gj) for gj in g])
-        inst._caches[key] = (g, S)
-    return inst._caches[key]
 
 
 @dataclass(eq=False)
@@ -94,7 +74,7 @@ class TangentField:
         # both kinds divide by gradient data that the gradient-floor
         # hypothesis keeps positive; on degenerate test instances reject
         # fields whose denominators the per-axis grid infima cannot certify
-        infs = _axis_gradient_infs(self.inst)
+        infs = self.inst.axis_inf
         if self.index is not None:
             ok = float(infs.max()) >= GRADIENT_FLOOR  # |grad rho|^2 >= max_j inf_j^2
         else:
@@ -104,54 +84,55 @@ class TangentField:
                 "the field's normalizing gradient data vanishes somewhere on "
                 "the sample grid (instance corruption)")
 
+    @functools.cached_property
+    def _rho_partials(self):
+        """The partials d_j rho and S = |grad rho|^2 as expressions."""
+        dim = self.inst.dim
+        g = [FieldTerm(self.inst.rho, unit_index(dim, j)) for j in range(dim)]
+        return g, add(*[mul(gj, gj) for gj in g])
+
+    @functools.cached_property
     def coefficients(self):
         """The coefficient expressions c_j with X = sum_j c_j d_j."""
-        key = ("tangent_coeffs", self.index, self.pair)
-        cache = self.inst._caches
-        if key not in cache:
-            dim = self.inst.dim
-            g, S = _rho_partials(self.inst)
-            if self.index is not None:
-                i = self.index
-                coeffs = []
-                for j in range(dim):
-                    c = div(mul(g[i], g[j]), S)
-                    if j == i:
-                        coeffs.append(add(Const(1.0, dim), scale(c, -1.0)))
-                    else:
-                        coeffs.append(scale(c, -1.0))
-            else:
-                j1, j2 = self.pair
-                norm = Sqrt(add(mul(g[j1], g[j1]), mul(g[j2], g[j2])))
-                coeffs = [Const(0.0, dim) for _ in range(dim)]
-                coeffs[j1] = div(g[j2], norm)
-                coeffs[j2] = scale(div(g[j1], norm), -1.0)
-            cache[key] = coeffs
-        return cache[key]
+        dim = self.inst.dim
+        g, S = self._rho_partials
+        if self.index is not None:
+            i = self.index
+            coeffs = []
+            for j in range(dim):
+                c = div(mul(g[i], g[j]), S)
+                if j == i:
+                    coeffs.append(add(Const(1.0, dim), scale(c, -1.0)))
+                else:
+                    coeffs.append(scale(c, -1.0))
+            return coeffs
+        j1, j2 = self.pair
+        norm = Sqrt(add(mul(g[j1], g[j1]), mul(g[j2], g[j2])))
+        coeffs = [Const(0.0, dim) for _ in range(dim)]
+        coeffs[j1] = div(g[j2], norm)
+        coeffs[j2] = scale(div(g[j1], norm), -1.0)
+        return coeffs
 
+    @functools.cached_property
     def _dual_multiplier(self):
         """div c + X(S)/(2S); the zeroth-order part of the dual operator."""
-        key = ("dual_mult", self.index, self.pair)
-        cache = self.inst._caches
-        if key not in cache:
-            g, S = _rho_partials(self.inst)
-            coeffs = self.coefficients()
-            div_c = add(*[c.d(j) for j, c in enumerate(coeffs)])
-            xs = add(*[mul(c, S.d(j)) for j, c in enumerate(coeffs)])
-            cache[key] = add(div_c, div(xs, scale(S, 2.0)))
-        return cache[key]
+        S = self._rho_partials[1]
+        coeffs = self.coefficients
+        div_c = add(*[c.d(j) for j, c in enumerate(coeffs)])
+        xs = add(*[mul(c, S.d(j)) for j, c in enumerate(coeffs)])
+        return add(div_c, div(xs, scale(S, 2.0)))
 
     def apply(self, f):
         """X f as an expression; f may be a SmoothField or an expression."""
         f = as_expr(f)
-        coeffs = self.coefficients()
+        coeffs = self.coefficients
         return add(*[mul(c, f.d(j)) for j, c in enumerate(coeffs)])
 
     def apply_dual(self, f):
         """X^+ f = -X f - f (div c + X(S)/(2S)), dual w.r.t. dsigma."""
         f = as_expr(f)
         return add(scale(self.apply(f), -1.0),
-                   scale(mul(f, self._dual_multiplier()), -1.0))
+                   scale(mul(f, self._dual_multiplier), -1.0))
 
     def tangency_residual(self, pts):
         """X rho, identically zero in exact arithmetic."""
@@ -165,21 +146,10 @@ def phase_with_modulation(inst, lam, xi):
     terms = [scale(as_expr(inst.phi), lam)]
     for j in range(dim):
         if xi[j] != 0.0:
-            terms.append(scale(FieldTerm(_coordinate_field(inst, j), (0,) * dim),
-                               2.0 * np.pi * xi[j]))
+            x_j = PolynomialField(dim, {unit_index(dim, j): 1.0},
+                                  half_widths=inst.b1)
+            terms.append(scale(FieldTerm(x_j, (0,) * dim), 2.0 * np.pi * xi[j]))
     return add(*terms)
-
-
-def _coordinate_field(inst, j):
-    key = ("coord_field", j)
-    if key not in inst._caches:
-        from .fields import PolynomialField
-        dim = inst.dim
-        expo = [0] * dim
-        expo[j] = 1
-        inst._caches[key] = PolynomialField(dim, {tuple(expo): 1.0},
-                                            half_widths=inst.b1)
-    return inst._caches[key]
 
 
 # ---------------------------------------------------------------------------

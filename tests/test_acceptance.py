@@ -5,6 +5,10 @@ asserts the criterion at the tolerance pinned in the battery itself.  The
 command-line `oscsurf selftest` runs the same checks.
 """
 
+import math
+
+import numpy as np
+
 from oscsurf import selftest
 
 
@@ -65,3 +69,19 @@ def test_criterion_10_upper_bound_consistency():
 
 def test_criterion_11_kernel_diagnostics():
     _run(selftest.check_kernel_diagnostics)
+
+
+def test_a_nan_sample_makes_the_worst_value_nan_wherever_it_falls():
+    nan = float("nan")
+    for values in ([nan, 1.0], [1.0, nan], [0.0, nan, 2.0]):
+        assert math.isnan(selftest._worst(values))
+    assert selftest._worst([0.5, 2.0]) == 2.0
+    assert selftest._worst([]) == 0.0
+
+
+def test_kernel_diagnostics_fail_on_a_nan_oracle():
+    # one oracle node per axis gives a zero-width rule and a NaN oracle value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = selftest.check_kernel_diagnostics(n_samples=2, oracle_nodes=1)
+    assert not res.passed
+    assert math.isnan(res.extras["worst"])

@@ -501,3 +501,22 @@ def test_config_defaults_match_the_checks():
     assert upper["max_freq"] == float(dec["max_freq"])
     assert upper["normalized"] is (dec["normalized"] == "true")
     assert upper["lambdas"] is None
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("ibp", "[ibp]\nnodes = 0\n", "ibp.nodes"),
+    ("ibp", "[ibp]\norders = 4\n", "ibp.orders"),
+    ("window", "[window]\ngrid = 0\n", "window.grid"),
+    ("tiling", "[tiling]\nn_random = -1\n", "tiling.n_random"),
+    ("tiling", "[tiling]\nn_random = 0\n", "tiling.n_random"),
+    ("reconstruct", "[reconstruct]\nn_signals = 0\n", "reconstruct.n_signals"),
+    ("decay", "[decay]\nfamily = bumps\nn_families = 0\n",
+     "decay.n_families"),
+    ("kernel", "[kernel]\noracle_nodes = 1\n", "kernel.oracle_nodes"),
+])
+def test_out_of_range_count_is_config_error(tmp_path, command, text, key):
+    code, out, manifest = run(tmp_path, command, "--config",
+                              write_config(tmp_path, text))
+    assert code == 2
+    assert [c["name"] for c in manifest["checks"]] == ["config"]
+    assert key in manifest["checks"][0]["detail"]

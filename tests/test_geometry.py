@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -70,6 +71,9 @@ def test_constants_monotone_in_density(paper):
     assert c9[1] >= c3[1]       # 1/inf grows as the inf shrinks
     assert c9[2] >= c3[2]
     assert c9[3] >= c3[3]
+    assert np.all(c9[4] <= c3[4])  # per-axis infima shrink
+    assert c9[1] == 1.0 / c9[4].min()
+    assert np.array_equal(paper.axis_inf, c9[4])
 
 
 def test_gradient_floor_violation_raises():
@@ -158,7 +162,7 @@ def test_chart_cache_holds_a_node_budget(monkeypatch):
     monkeypatch.setattr(geometry, "_CHART_CACHE_NODES", budget)
     inst = make_instance("paper-even-d2", b0=0.3, b1=0.5)
     boxes = [(-0.25, 0.25)] * 3
-    cache = inst._caches.setdefault("charts", {})
+    cache = geometry._CHARTS.setdefault(inst, {})
 
     def cached_nodes():
         return sum(len(c.points) for c in cache.values())
@@ -174,6 +178,11 @@ def test_chart_cache_holds_a_node_budget(monkeypatch):
     assert len(big.points) > budget
     assert big not in cache.values() and cached_nodes() <= budget
     assert cached_chart(inst, 3, boxes, 30) is not big
+    # the charts die with their instance
+    n_instances = len(geometry._CHARTS)
+    del inst
+    gc.collect()
+    assert len(geometry._CHARTS) == n_instances - 1
 
 
 def test_graph_lipschitz_bound(paper):

@@ -16,12 +16,15 @@ from oscsurf.fields import (
 from oscsurf.geometry import build_chart, graph_solve, graph_solve_grid
 from oscsurf.instance import make_instance
 from oscsurf.kernel import (
+    DEFAULT_QUAD,
     LineFactor,
     QuadPolicy,
     TestFunctionFamily,
     _ORACLE_BLOCK,
     _axis_bisection,
+    _axis_phase_rates,
     _chart_values,
+    _nodes_for,
     _packet_setup,
     _qmc_value,
     _support_boxes,
@@ -635,3 +638,27 @@ def test_quad_policy_node_cap(paper):
     fam = random_bump_family(paper, np.random.default_rng(6), normalized=False)
     with pytest.raises(NonConvergenceError):
         eval_I(paper, fam, 800.0, quad=tight)
+
+
+@pytest.mark.parametrize("name, n_nodes, rate_nodes", [
+    ("paper-even-d2", 21268, (20, 20, 16)),
+    ("paper-odd-d3", 2048, (20, 20, 16, 23, 25)),
+    ("flat", 13248, (15, 16, 16)),
+    ("tilted", 12885, (15, 16, 16)),
+])
+@pytest.mark.parametrize("density", [3, 9])
+def test_eval_I_node_counts_are_pinned(name, n_nodes, rate_nodes, density):
+    # the per-axis phase rates come from the instance's bounds (sup |d_j Phi|
+    # and the graph Lipschitz constant); d = 3 takes two 2^10-point Sobol
+    # scrambles, so its rate-driven counts are pinned on their own
+    inst = make_instance(name, grid_density=density)
+    fam = random_bump_family(inst, np.random.default_rng(11))
+    lam = 100.0
+    factors = fam.factors_for(lam)
+    j0 = inst.dim - 1
+    rates = _axis_phase_rates(inst, lam, factors, j0)
+    assert _nodes_for(DEFAULT_QUAD, rates,
+                      _support_boxes(inst, factors, j0)) == rate_nodes
+    diag = {}
+    eval_I(inst, fam, lam, quad=QuadPolicy(qmc_log2_nodes=10), diagnostics=diag)
+    assert diag["n_nodes"][lam] == n_nodes

@@ -9,6 +9,7 @@ from oscsurf.instance import make_instance
 from oscsurf.nondegen import (
     CirclePoint,
     Partition,
+    _det_gradient_estimate,
     all_partitions,
     bordered_det,
     bordered_matrix,
@@ -115,6 +116,30 @@ def test_certify_monotone_under_refinement(paper):
     fine = certify(paper, box_grid(paper, 9), circle_grid(64))
     # the 3-point grid nests in the 9-point grid, 16 angles in 64
     assert fine.c_lower <= coarse.c_lower + 1e-15
+
+
+@pytest.mark.parametrize("density", [3, 5])
+def test_certify_lipschitz_padding_lowers_the_floor(paper, density):
+    grid, circle = box_grid(paper, density), circle_grid(8)
+    plain = certify(paper, grid, circle)
+    padded = certify(paper, grid, circle, lipschitz_padding=True)
+    spacing = 2.0 * paper.b1 / (density - 1)
+    bound = _det_gradient_estimate(paper, all_partitions(paper.d), grid, circle)
+    assert bound > 0.0
+    assert padded.c_lower == max(0.0, plain.c_lower - spacing * bound)
+    assert padded.c_lower <= plain.c_lower
+    # a single sample has no spacing to pad by
+    center = box_grid(paper, 1)
+    assert (certify(paper, center, circle, lipschitz_padding=True).c_lower
+            == certify(paper, center, circle).c_lower)
+
+
+def test_box_grid_is_the_instance_sample_grid(paper):
+    axis = np.linspace(-paper.b1, paper.b1, 5)
+    mesh = np.meshgrid(*([axis] * paper.dim), indexing="ij")
+    assert np.array_equal(box_grid(paper, 5),
+                          np.stack([m.ravel() for m in mesh], axis=-1))
+    assert np.array_equal(box_grid(paper, 1), np.zeros((1, paper.dim)))
 
 
 def test_certify_degenerate_reports_failures(degenerate):
