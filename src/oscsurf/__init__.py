@@ -49,22 +49,17 @@ from .kernel import (
     kernel_eval,
     random_bump_family,
     scales,
-    tau0,
 )
 from .nondegen import (
-    CirclePoint,
     NondegeneracyReport,
     Partition,
-    bordered_det,
     certify,
-    injectivity_probe,
     jacobian_homogeneity_probe,
     psi_map,
 )
 from .tangent import (
     IBPReport,
     TangentField,
-    decay_bound_probe,
     ibp_identity_check,
 )
 from .tiling import IntervalQ, Tiling, build_tiling, locate

@@ -231,16 +231,12 @@ def scale(a, c):
 
 
 def evaluate_chunked(expr, pts, chunk=16384):
-    """Evaluate over a large point batch in chunks to bound cache memory."""
-    n = len(pts)
-    if n <= chunk:
-        out = expr.value(pts, {})
-        return np.broadcast_to(out, (n,)).astype(complex) if np.isscalar(out) else out
+    """Evaluate over a point batch one block of chunk points at a time, to
+    bound the per-node cache memory.  A constant expression gives one value
+    per point, in the constant's own dtype, like any other expression."""
     pieces = []
-    for start in range(0, n, chunk):
+    for start in range(0, max(len(pts), 1), chunk):  # one block if empty
         block = pts[start:start + chunk]
         val = expr.value(block, {})
-        if np.isscalar(val):
-            val = np.full(len(block), val)
-        pieces.append(val)
+        pieces.append(np.full(len(block), val) if np.isscalar(val) else val)
     return np.concatenate(pieces)

@@ -273,11 +273,6 @@ class BumpField(SmoothField):
                 g.eval(x[:, None])
                 for j in range(self.dim)]
 
-    def axis_deriv_max(self, k, n_grid=2001):
-        """max over the support of |g^(k)| for the one-axis factor."""
-        t = np.linspace(-self.support_half_width, self.support_half_width, n_grid)
-        return float(np.abs(bump1d_value(k, t, self.support_half_width, self.order)).max())
-
 
 class ScaledSumField(SmoothField):
     """c_1 * F_1 + ... + c_n * F_n for fields on a common box."""

@@ -37,16 +37,6 @@ def _grid_points(dim, b, density):
 
 def _sup_derivatives(fld, max_total, pts):
     """sup over the grid of |d^alpha f| over all |alpha| <= max_total."""
-    if isinstance(fld, BumpField):
-        # tensor structure: sup of a product of one-axis factors factorizes
-        per_axis = [fld.axis_deriv_max(k) for k in range(max_total + 1)]
-        best = 0.0
-        for alpha in multi_indices(fld.dim, max_total):
-            prod = 1.0
-            for a in alpha:
-                prod *= per_axis[a]
-            best = max(best, prod)
-        return best
     best = 0.0
     for alpha in multi_indices(fld.dim, max_total):
         if fld.vanishes_above is not None and sum(alpha) > fld.vanishes_above:
@@ -60,9 +50,11 @@ def _sup_derivatives(fld, max_total, pts):
 class ProblemInstance:
     """Immutable bundle (d, b0, b1, rho, phi, amp) with admissible constants.
 
-    c_rho, c_phi, c_amp are grid sups of derivatives to orders 2d+3 / 2d+2 /
-    2d+2; c_rho_inv is the reciprocal of the grid infimum of min_i |d_i rho|,
-    inf when that infimum falls below the gradient floor.
+    The constants are outputs, set at construction by admissible_constants
+    on the grid_density grid: c_rho, the grid sup of the derivatives of rho
+    to order 2d+3; axis_inf, the per-axis grid infima of |d_i rho|; and
+    c_rho_inv, the reciprocal of axis_inf.min(), inf when that infimum falls
+    below the gradient floor.
     """
 
     d: int
@@ -71,13 +63,11 @@ class ProblemInstance:
     rho: SmoothField
     phi: SmoothField
     amp: SmoothField
-    c_rho: float = 0.0
-    c_rho_inv: float = 0.0
-    c_phi: float = 0.0
-    c_amp: float = 0.0
     grid_density: int = 9
     name: str = "custom"
-    axis_inf: np.ndarray = field(default=None, init=False, repr=False)
+    c_rho: float = field(init=False)
+    c_rho_inv: float = field(init=False)
+    axis_inf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -93,13 +83,11 @@ class ProblemInstance:
         if min(self.phi.max_order, self.amp.max_order) < need - 1:
             raise ConstraintError(
                 f"phi and amp must provide derivatives to order {need - 1}")
-        if self.c_rho == 0.0:
-            # lenient at construction: degenerate test fields (e.g. the flat
-            # hyperplane) are allowed to exist; strict checks live in
-            # admissible_constants and in the operations that need them
-            (self.c_rho, self.c_rho_inv, self.c_phi, self.c_amp,
-             self.axis_inf) = admissible_constants(self, self.grid_density,
-                                                   strict=False)
+        # lenient at construction: degenerate test fields (e.g. the flat
+        # hyperplane) are allowed to exist; strict checks live in
+        # admissible_constants and in the operations that need them
+        self.c_rho, self.c_rho_inv, self.axis_inf = admissible_constants(
+            self, self.grid_density, strict=False)
 
     @property
     def dim(self):
@@ -138,8 +126,9 @@ def _gradient(fld, pts):
 
 
 def admissible_constants(inst, grid_density=9, strict=True):
-    """Grid estimates (c_rho, c_rho_inv, c_phi, c_amp, axis_inf), axis_inf
-    the per-axis infima of |d_i rho| on the grid.
+    """Grid estimates (c_rho, c_rho_inv, axis_inf) on the b1 box: c_rho the
+    sup of |d^alpha rho| over |alpha| <= 2d+3, axis_inf the per-axis infima
+    of |d_i rho|, c_rho_inv the reciprocal of axis_inf.min().
 
     Raises HypothesisError when min_i |d_i rho| falls below a positive floor
     anywhere on the grid, since every chart and tangential field downstream
@@ -148,15 +137,9 @@ def admissible_constants(inst, grid_density=9, strict=True):
     """
     if grid_density < 1:
         raise ConstraintError("grid_density must be positive")
-    dim = inst.dim
-    pts1 = _grid_points(dim, inst.b1, grid_density)
-    c_rho = _sup_derivatives(inst.rho, 2 * inst.d + 3, pts1)
-    c_phi = _sup_derivatives(inst.phi, 2 * inst.d + 2, pts1)
-    pts0 = _grid_points(dim, inst.b0, grid_density)
-    c_amp = _sup_derivatives(inst.amp, 2 * inst.d + 2, pts0)
-
-    grad = inst.grad_rho(pts1)
-    axis_inf = np.abs(grad).min(axis=0)
+    pts = _grid_points(inst.dim, inst.b1, grid_density)
+    c_rho = _sup_derivatives(inst.rho, 2 * inst.d + 3, pts)
+    axis_inf = np.abs(inst.grad_rho(pts)).min(axis=0)
     worst = float(axis_inf.min())
     if worst < GRADIENT_FLOOR:
         if strict:
@@ -164,8 +147,8 @@ def admissible_constants(inst, grid_density=9, strict=True):
             raise HypothesisError(
                 f"min |d_{j + 1} rho| = {worst:.3g} on the sample grid; the "
                 "gradient-floor hypothesis fails")
-        return c_rho, float("inf"), c_phi, c_amp, axis_inf
-    return c_rho, 1.0 / worst, c_phi, c_amp, axis_inf
+        return c_rho, float("inf"), axis_inf
+    return c_rho, 1.0 / worst, axis_inf
 
 
 def default_amplitude(d, b0, b1, order=None):

@@ -65,33 +65,20 @@ def classify_region(lam, xi, c_split=0.25):
     return "Xi1" if min(s.r_j) <= c_split * max(s.r_j) else "Xi2"
 
 
-def _normal_split(inst, y, xi, lam):
-    """grad rho, v = lam grad Phi + 2 pi xi and tau_0 at a batch of points."""
+def normal_projection(inst, y, xi, lam):
+    """lam grad Phi(y) + 2 pi xi + tau_0 grad rho(y), with the stationary
+    normal multiplier
+
+        tau_0 = - grad rho(y) . (lam grad Phi(y) + 2 pi xi) / |grad rho(y)|^2:
+
+    the projection of the phase gradient orthogonal to grad rho(y)."""
     pts = np.atleast_2d(np.asarray(y, dtype=float))
     grad = inst.grad_rho(pts)
     s = np.sum(grad * grad, axis=-1)
     if np.any(s < 1e-16):
         raise ConstraintError("gradient of rho vanishes at the sample")
     vec = lam * inst.grad_phi(pts) + TWO_PI * np.asarray(xi, dtype=float)
-    return grad, vec, -np.sum(grad * vec, axis=-1) / s
-
-
-def tau0(inst, y, xi, lam):
-    """The stationary value of the normal multiplier:
-
-        tau_0 = - grad rho(y) . (lam grad Phi(y) + 2 pi xi) / |grad rho(y)|^2,
-
-    making lam grad Phi(y) + 2 pi xi + tau_0 grad rho(y) orthogonal to
-    grad rho(y).
-    """
-    out = _normal_split(inst, y, xi, lam)[2]
-    return float(out[0]) if np.ndim(y) == 1 else out
-
-
-def normal_projection(inst, y, xi, lam):
-    """lam grad Phi(y) + 2 pi xi + tau_0 grad rho(y): the projection of the
-    phase gradient orthogonal to grad rho(y)."""
-    grad, vec, t0 = _normal_split(inst, y, xi, lam)
+    t0 = -np.sum(grad * vec, axis=-1) / s
     proj = vec + t0[:, None] * grad
     return proj[0] if np.ndim(y) == 1 else proj
 
@@ -558,6 +545,9 @@ def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
     size of one block; the slice-axis packets and amplitude factors are
     evaluated once per call on the grid axes and gathered per block.
     """
+    if nodes_per_axis < 2:
+        raise ConstraintError("the oracle's trapezoid rule needs at least "
+                              "two nodes per axis")
     setup = _packet_setup(inst, w, t, y, xi, j0)
     if setup is None:
         return 0.0 + 0.0j

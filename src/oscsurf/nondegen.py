@@ -14,8 +14,8 @@ hypothesis asks for a positive lower bound.
 
 The companion map Psi_{v,lambda}(u, tau) = (rho, lambda grad_J Phi +
 tau grad_J rho) has Jacobian with the same bordered structure, homogeneous
-of degree d-1 in (lambda, tau); local injectivity on nondegenerate balls is
-probed by brute-force pairwise search.
+of degree d-1 in (lambda, tau); the homogeneity probe measures |det| of
+that Jacobian along rays in (lambda, tau).
 """
 
 from __future__ import annotations
@@ -62,16 +62,6 @@ def all_partitions(d):
     return out
 
 
-@dataclass(frozen=True)
-class CirclePoint:
-    tau_tilde: float
-    tau: float
-
-    def __post_init__(self):
-        if abs(self.tau_tilde**2 + self.tau**2 - 1.0) > 1e-12:
-            raise ConstraintError("circle point must satisfy tt^2 + t^2 = 1")
-
-
 def circle_grid(n=64):
     angles = 2.0 * np.pi * np.arange(n) / n
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
@@ -113,19 +103,6 @@ def bordered_matrix(inst, p, pts, tt, tau):
     mat[..., :d, 1:] = hess
     mat[..., d, 1:] = _partials(inst.rho, p.j_set, pts)
     return mat
-
-
-def bordered_det(inst, p, x, w):
-    """Certificate determinant at one point and circle direction."""
-    if isinstance(w, CirclePoint):
-        tt, tau = w.tau_tilde, w.tau
-    else:
-        tt, tau = float(w[0]), float(w[1])
-        if abs(tt * tt + tau * tau - 1.0) > 1e-12:
-            raise ConstraintError("direction must lie on the unit circle")
-    x = np.asarray(x, dtype=float)
-    mat = bordered_matrix(inst, p, x, np.asarray(tt), np.asarray(tau))
-    return float(np.linalg.det(mat)) if x.ndim == 1 else np.linalg.det(mat)
 
 
 @dataclass
@@ -280,21 +257,3 @@ def jacobian_homogeneity_probe(inst, p, v_fixed, u, lambda_tau_pairs):
         det = abs(float(np.linalg.det(jac)))
         ratios.append(det / (lam**2 + tau**2) ** ((inst.d - 1) / 2.0))
     return ratios
-
-
-def injectivity_probe(inst, p, v_fixed, lam, sample_pairs, tol=1e-8,
-                      min_separation=1e-6):
-    """Brute-force pairwise collision scan of the map over (u, tau) samples.
-
-    Returns all index pairs whose images are closer than tol while the
-    arguments are at least min_separation apart; empty on nondegenerate
-    instances.
-    """
-    samples = np.asarray(sample_pairs, dtype=float)
-    us, taus = samples[:, :-1], samples[:, -1]
-    images = np.stack([psi_map(inst, p, v_fixed, lam, u, t)
-                       for u, t in zip(us, taus)])
-    diff_img = np.linalg.norm(images[:, None, :] - images[None, :, :], axis=-1)
-    diff_arg = np.linalg.norm(samples[:, None, :] - samples[None, :, :], axis=-1)
-    hits = np.argwhere((diff_img < tol) & (diff_arg > min_separation))
-    return [(int(i), int(j)) for i, j in hits if i < j]

@@ -180,31 +180,27 @@ def _integrate_surface(f, phase, chart):
     return complex(np.sum(chart.weights * osc * vals))
 
 
-def _probe_chart(inst, psi, nodes, boxes, j0):
-    """The chart axis (default the last), the slice boxes (default the
-    support of psi) and the chart both identity probes integrate on."""
-    if j0 is None:
-        j0 = inst.dim - 1
-    if boxes is None:
-        boxes = _psi_boxes(psi, inst, j0)
-    return j0, boxes, cached_chart(inst, j0, boxes, nodes)
-
-
 def ibp_identity_check(inst, phase, psi, field, k_tilde, N,
                        nodes=IBP_REFERENCE_NODES, boxes=None, j0=None):
     """Both sides of the iterated identity
 
         int e^{i phase} psi dsigma = K^{-N} int e^{i phase} L^N psi dsigma
 
-    by surface quadrature; L is applied by exact nested expansion.  With
-    k_tilde None the shift is chosen as i X(phase) at the chart point nearest
-    the box center, which keeps L well scaled on the support.
+    by surface quadrature on the chart over axis j0 (default the last) and
+    the slice boxes (default the support of psi); L is applied by exact
+    nested expansion.  With k_tilde None the shift is chosen as i X(phase)
+    at the chart point nearest the box center, which keeps L well scaled on
+    the support.
     """
     if k_tilde == 0:
         raise ConstraintError("the shift constant must be nonzero")
     if not 1 <= N <= 3:
         raise ConstraintError("iterated identity supported for N in 1..3")
-    j0, boxes, chart = _probe_chart(inst, psi, nodes, boxes, j0)
+    if j0 is None:
+        j0 = inst.dim - 1
+    if boxes is None:
+        boxes = _psi_boxes(psi, inst, j0)
+    chart = cached_chart(inst, j0, boxes, nodes)
     if k_tilde is None:
         center = np.array([0.5 * (lo + hi) for lo, hi in boxes])
         slice_pts = np.delete(chart.points, j0, axis=1)
@@ -222,42 +218,3 @@ def ibp_identity_check(inst, phase, psi, field, k_tilde, N,
     floor = 1e-30
     rel = abs(lhs - rhs) / max(abs(lhs), floor)
     return IBPReport(N=N, lhs=lhs, rhs=rhs, rel_error=rel)
-
-
-def decay_bound_probe(inst, phase, psi, field, N, K,
-                      nodes=IBP_REFERENCE_NODES, boxes=None, j0=None):
-    """lhs = |int e^{i phase} psi dsigma| and the stationary-phase majorant
-
-        rhs = |K|^{-N} sum_{j=0}^{N} int |(X^+)^j psi| *
-              [ |X phase - K|^{N-j} + sum_{l=2}^{N-j} |X^l phase|^{(N-j)/l} ] dsigma.
-
-    Returns (lhs, rhs); the empirical constant is their ratio.
-    """
-    if K == 0:
-        raise ConstraintError("the reference constant K must be nonzero")
-    if N < 1:
-        raise ConstraintError("the bound is stated for positive N")
-    chart = _probe_chart(inst, psi, nodes, boxes, j0)[2]
-    pts = chart.points
-
-    lhs = abs(_integrate_surface(psi, phase, chart))
-
-    phase = as_expr(phase)
-    xphase = field.apply(phase)
-    xphase_vals = evaluate_chunked(xphase, pts)
-    xpowers = {1: xphase}
-    for ell in range(2, N + 1):
-        xpowers[ell] = field.apply(xpowers[ell - 1])
-
-    total = 0.0
-    dual_j = as_expr(psi)
-    for j in range(N + 1):
-        dual_vals = np.abs(evaluate_chunked(dual_j, pts))
-        bracket = np.abs(xphase_vals - complex(K)) ** (N - j)
-        for ell in range(2, N - j + 1):
-            bracket = bracket + np.abs(evaluate_chunked(xpowers[ell], pts)) ** ((N - j) / ell)
-        total += float(np.sum(chart.weights.real * dual_vals * bracket))
-        if j < N:
-            dual_j = field.apply_dual(dual_j)
-    rhs = abs(K) ** (-N) * total
-    return lhs, rhs

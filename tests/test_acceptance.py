@@ -6,10 +6,15 @@ command-line `oscsurf selftest` runs the same checks.
 """
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 
-from oscsurf import selftest
+from oscsurf import geometry, kernel, selftest, tiling
+from oscsurf.errors import ConstraintError
+from oscsurf.instance import make_instance
+from oscsurf.window import make_window
 
 
 def _run(check):
@@ -79,9 +84,26 @@ def test_a_nan_sample_makes_the_worst_value_nan_wherever_it_falls():
     assert selftest._worst([]) == 0.0
 
 
-def test_kernel_diagnostics_fail_on_a_nan_oracle():
-    # one oracle node per axis gives a zero-width rule and a NaN oracle value
-    with np.errstate(divide="ignore", invalid="ignore"):
-        res = selftest.check_kernel_diagnostics(n_samples=2, oracle_nodes=1)
+def test_kernel_diagnostics_fail_on_a_nan_oracle(monkeypatch):
+    monkeypatch.setattr(kernel, "kernel_eval_dense",
+                        lambda *args, **kwargs: complex(math.nan, math.nan))
+    res = selftest.check_kernel_diagnostics(n_samples=2)
     assert not res.passed
     assert math.isnan(res.extras["worst"])
+
+
+def test_one_oracle_node_per_axis_is_rejected():
+    # the trapezoid rule needs two nodes per axis; one used to give a
+    # zero-width rule and a NaN oracle value
+    inst = make_instance("paper-even-d2")
+    w, t = make_window(), tiling.build_tiling(100.0, 600.0)
+    y = np.array([0.05, -0.03, 0.02, 0.0])
+    y[3] = geometry.graph_solve(inst, 3, y[:3])
+    xi = np.array([40.0, -30.0, 20.0, 10.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintError):
+            kernel.kernel_eval_dense(inst, w, t, y, xi, 100.0,
+                                     nodes_per_axis=1)
+        with pytest.raises(ConstraintError):
+            selftest.check_kernel_diagnostics(n_samples=1, oracle_nodes=1)

@@ -40,7 +40,6 @@ def test_paper_constants(paper):
     assert paper.c_rho_inv == pytest.approx(2.0)
     assert paper.c_rho_inv >= 1.0
     assert paper.c_rho == pytest.approx(2.25)  # sup |rho| at the corner
-    assert paper.c_phi == pytest.approx(1.0)
 
 
 def test_degenerate_field_constant_gradient():
@@ -69,11 +68,10 @@ def test_constants_monotone_in_density(paper):
     c9 = admissible_constants(paper, 9)
     assert c9[0] >= c3[0]       # sup estimates grow on nested grids
     assert c9[1] >= c3[1]       # 1/inf grows as the inf shrinks
-    assert c9[2] >= c3[2]
-    assert c9[3] >= c3[3]
-    assert np.all(c9[4] <= c3[4])  # per-axis infima shrink
-    assert c9[1] == 1.0 / c9[4].min()
-    assert np.array_equal(paper.axis_inf, c9[4])
+    assert np.all(c9[2] <= c3[2])  # per-axis infima shrink
+    assert c9[1] == 1.0 / c9[2].min()
+    assert (paper.c_rho, paper.c_rho_inv) == c9[:2]
+    assert np.array_equal(paper.axis_inf, c9[2])
 
 
 def test_gradient_floor_violation_raises():

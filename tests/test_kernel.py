@@ -39,10 +39,10 @@ from oscsurf.kernel import (
     kernel_decay_probe,
     kernel_eval,
     kernel_eval_dense,
+    normal_projection,
     packet_factor,
     random_bump_family,
     scales,
-    tau0,
 )
 from oscsurf.tiling import build_tiling
 from oscsurf.window import make_window
@@ -116,15 +116,22 @@ def test_classify_rejects_bad_split():
 
 
 def test_tau0_cancellation(paper):
+    # xi cancels lam grad Phi(y), so tau_0 = 0 and the projection vanishes
     y = np.array([0.05, -0.1, 0.2, 0.14])
     lam = 50.0
     xi = -lam * paper.grad_phi(y[None, :])[0] / (2 * np.pi)
-    assert tau0(paper, y, xi, lam) == pytest.approx(0.0, abs=1e-12)
+    assert np.abs(normal_projection(paper, y, xi, lam)).max() \
+        == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tau0_constant_gradient(tilted):
-    val = tau0(tilted, np.zeros(4), np.ones(4), 3.0)
-    assert val == pytest.approx(-2 * np.pi)
+    # grad rho = (1, 1, 1, 1) and Phi = 0: v = 2 pi (1, 1, 1, 1) is normal,
+    # tau_0 = -2 pi cancels it
+    proj = normal_projection(tilted, np.zeros(4), np.ones(4), 3.0)
+    assert np.abs(proj).max() == pytest.approx(0.0, abs=1e-12)
+    xi = np.array([1.0, 2.0, 3.0, 4.0])
+    proj = normal_projection(tilted, np.zeros(4), xi, 3.0)
+    assert proj == pytest.approx(2 * np.pi * (xi - xi.mean()))
 
 
 def test_tau0_vanishing_gradient_rejected():
@@ -134,7 +141,7 @@ def test_tau0_vanishing_gradient_rejected():
                           half_widths=0.5)
     inst = make_instance("custom", b0=0.3, b1=0.5, rho=rho)
     with pytest.raises(ConstraintError):
-        tau0(inst, np.zeros(4), np.ones(4), 10.0)
+        normal_projection(inst, np.zeros(4), np.ones(4), 10.0)
 
 
 def test_tau0_orthogonality(paper):
@@ -143,10 +150,18 @@ def test_tau0_orthogonality(paper):
         y = rng.uniform(-0.4, 0.4, size=4)
         xi = rng.uniform(-50, 50, size=4)
         lam = rng.uniform(25, 500)
-        t0 = tau0(paper, y, xi, lam)
+        proj = normal_projection(paper, y, xi, lam)
         grad = paper.grad_rho(y[None, :])[0]
-        resid = lam * paper.grad_phi(y[None, :])[0] + 2 * np.pi * xi + t0 * grad
-        assert abs(np.dot(resid, grad)) <= 1e-10 * max(1.0, np.linalg.norm(resid))
+        # proj = v + tau_0 grad rho: v shifted along the normal only
+        vec = lam * paper.grad_phi(y[None, :])[0] + 2 * np.pi * xi
+        shift = proj - vec
+        off_normal = shift - np.dot(shift, grad) / np.dot(grad, grad) * grad
+        assert np.abs(off_normal).max() <= 1e-10 * np.linalg.norm(vec)
+        assert abs(np.dot(proj, grad)) <= 1e-10 * max(1.0, np.linalg.norm(proj))
+    ys = rng.uniform(-0.4, 0.4, size=(5, 4))
+    batch = normal_projection(paper, ys, xi, lam)
+    assert batch.shape == (5, 4)
+    assert np.array_equal(batch[2], normal_projection(paper, ys[2], xi, lam))
 
 
 # -- eval_I ---------------------------------------------------------------------

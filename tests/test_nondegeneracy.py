@@ -7,16 +7,13 @@ import pytest
 from oscsurf.errors import ConstraintError
 from oscsurf.instance import make_instance
 from oscsurf.nondegen import (
-    CirclePoint,
     Partition,
     _det_gradient_estimate,
     all_partitions,
-    bordered_det,
     bordered_matrix,
     box_grid,
     certify,
     circle_grid,
-    injectivity_probe,
     jacobian_homogeneity_probe,
     psi_jacobian,
     psi_map,
@@ -58,15 +55,6 @@ def test_all_partitions_count():
     assert len(all_partitions(3)) == math.comb(6, 3)
 
 
-def test_circle_point_validation():
-    CirclePoint(0.6, 0.8)
-    with pytest.raises(ConstraintError):
-        CirclePoint(0.0, 0.0)
-    with pytest.raises(ConstraintError):
-        bordered_det(make_instance("tilted", b0=0.3, b1=0.5), P_MIXED,
-                     np.zeros(4), (0.0, 0.0))
-
-
 def test_paper_determinant_mixed_partition(paper):
     rng = np.random.default_rng(1)
     xs = rng.uniform(-0.5, 0.5, size=(1000, 4))
@@ -87,7 +75,8 @@ def test_paper_determinant_split_partition(paper):
 
 
 def test_zero_phase_zero_determinant(degenerate):
-    val = bordered_det(degenerate, P_MIXED, np.zeros(4), (1.0, 0.0))
+    val = np.linalg.det(bordered_matrix(degenerate, P_MIXED, np.zeros(4),
+                                        1.0, 0.0))
     assert val == 0.0
 
 
@@ -172,7 +161,7 @@ def test_certify_catches_injected_defect(paper, monkeypatch):
 
 def test_odd_example_nonzero(paper3):
     p = Partition((0, 2, 3), (1, 4, 5))  # {x1, x3, x1'} vs {x2, x2', x3'}
-    val = bordered_det(paper3, p, np.zeros(6), (1.0, 0.0))
+    val = np.linalg.det(bordered_matrix(paper3, p, np.zeros(6), 1.0, 0.0))
     assert abs(val) > 0.5
     rep = certify(paper3, box_grid(paper3, 3), circle_grid(16))
     assert rep.ok and rep.c_lower > 0.1
@@ -293,7 +282,7 @@ def test_homogeneity_matches_bordered_det_on_circle(paper):
     x = np.empty(4)
     x[[0, 2]] = u0
     x[[1, 3]] = v0
-    det = bordered_det(paper, P_MIXED, x, (1.0, 0.0))
+    det = np.linalg.det(bordered_matrix(paper, P_MIXED, x, 1.0, 0.0))
     assert ratio == pytest.approx(abs(det), rel=1e-12)
 
 
@@ -318,35 +307,3 @@ def test_homogeneity_rejects_zero_pair(paper):
     with pytest.raises(ConstraintError):
         jacobian_homogeneity_probe(paper, P_MIXED, np.zeros(2),
                                    np.zeros(2), [(0.0, 0.0)])
-
-
-# -- injectivity --------------------------------------------------------------
-
-def test_injectivity_nondegenerate_empty(paper):
-    rng = np.random.default_rng(5)
-    u0 = np.array([0.05, -0.08])
-    ups = rng.uniform(-0.05, 0.05, size=(400, 2)) + u0
-    taus = rng.uniform(1.0, 3.0, size=(400, 1))
-    hits = injectivity_probe(paper, P_MIXED, np.array([0.1, 0.02]), 7.0,
-                             np.concatenate([ups, taus], axis=1))
-    assert hits == []
-
-
-def test_injectivity_constructed_collision(degenerate):
-    # the flat instance's map sees only sum(u): shifting mass between the
-    # two u coordinates is invisible
-    base = np.array([[0.05, -0.02, 1.5], [0.01, 0.03, 2.0]])
-    shifted = base.copy()
-    shifted[:, 0] += 0.04
-    shifted[:, 1] -= 0.04
-    samples = np.concatenate([base, shifted], axis=0)
-    hits = injectivity_probe(degenerate, P_SPLIT, np.array([0.1, 0.2]), 7.0,
-                             samples, tol=1e-10)
-    assert (0, 2) in hits and (1, 3) in hits
-
-
-def test_injectivity_excludes_identical_inputs(paper):
-    samples = np.array([[0.05, -0.02, 1.5], [0.05, -0.02, 1.5]])
-    hits = injectivity_probe(paper, P_MIXED, np.array([0.1, 0.02]), 7.0,
-                             samples)
-    assert hits == []  # coincident arguments are not collisions

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from oscsurf.errors import ConstraintError
-from oscsurf.exprs import as_expr, evaluate_chunked
+from oscsurf.exprs import Const, as_expr, evaluate_chunked
 from oscsurf.fields import BumpField, PolynomialField
 from oscsurf.geometry import cached_chart
 from oscsurf.instance import make_instance
 from oscsurf.kernel import normal_projection
 from oscsurf.tangent import (
     TangentField,
-    decay_bound_probe,
     ibp_identity_check,
     l_operator,
     phase_with_modulation,
@@ -79,8 +78,19 @@ def test_apply_to_rho_is_zero_pointwise(paper):
 def test_constant_gradient_projection_value(tilted):
     # rho = sum of coordinates: X_1 x_1 = 1 - 1/(2d) * 1 = 3/4
     fld = TangentField(tilted, index=0)
-    val = fld.apply(coord(4, 0)).value(np.array([0.1, 0.0, -0.2, 0.3]))
+    expr = fld.apply(coord(4, 0))
+    val = expr.value(np.array([0.1, 0.0, -0.2, 0.3]))
     assert val == pytest.approx(0.75)
+    # chunked evaluation: the field expression and the constant 3/4 give the
+    # same values and dtype below, at and above the chunk size
+    rng = np.random.default_rng(4)
+    for n in (0, 5, 8, 13, 16, 17):
+        pts = rng.uniform(-0.4, 0.4, size=(n, 4))
+        by_field = evaluate_chunked(expr, pts, chunk=8)
+        by_const = evaluate_chunked(Const(0.75, 4), pts, chunk=8)
+        assert by_field.dtype == by_const.dtype == np.float64
+        assert by_field.shape == by_const.shape == (n,)
+        assert np.array_equal(by_field, by_const)
 
 
 def test_apply_matches_fd_directional_derivative(paper):
@@ -187,49 +197,6 @@ def test_ibp_rejects_bad_arguments(paper):
         ibp_identity_check(paper, zero, psi, fld, 0.0, 1)
     with pytest.raises(ConstraintError):
         ibp_identity_check(paper, zero, psi, fld, 1.0, 4)
-
-
-def test_decay_probe_constant_transport_collapse(tilted):
-    # linear phase with X phi constant = K: the bracket collapses and
-    # rhs = |K|^(-N) int |(X^+)^N psi|
-    fld = TangentField(tilted, index=0)
-    phase = PolynomialField(4, {(1, 0, 0, 0): 4.0}, half_widths=0.5)
-    K = 4.0 * 0.75  # X_1 (4 x_1) on the constant-gradient surface
-    psi = BumpField(4, support_half_width=0.24, order=8, half_widths=0.5)
-    N = 2
-    lhs, rhs = decay_bound_probe(tilted, phase, psi, fld, N, K, nodes=20)
-    chart = cached_chart(tilted, 3, [(-0.24, 0.24)] * 3, 20)
-    dual2 = fld.apply_dual(fld.apply_dual(psi))
-    direct = abs(K) ** (-N) * np.sum(
-        chart.weights * np.abs(evaluate_chunked(dual2, chart.points)))
-    assert rhs == pytest.approx(direct, rel=1e-12)
-    assert lhs <= rhs
-
-
-def test_decay_probe_rejects_degenerate_calls(paper):
-    psi = BumpField(4, support_half_width=0.2, order=6, half_widths=0.5)
-    zero = PolynomialField(4, {}, half_widths=0.5)
-    fld = TangentField(paper, index=0)
-    with pytest.raises(ConstraintError):
-        decay_bound_probe(paper, zero, psi, fld, 0, 1.0)
-    with pytest.raises(ConstraintError):
-        decay_bound_probe(paper, zero, psi, fld, 1, 0.0)
-
-
-def test_decay_probe_lambda_sweep_bounded(paper):
-    psi = BumpField(4, support_half_width=0.22, order=8, half_widths=0.5)
-    fld = TangentField(paper, index=0)
-    ratios = []
-    for lam in (10.0, 100.0, 1000.0):
-        phase = phase_with_modulation(paper, lam, np.zeros(4))
-        chart = cached_chart(paper, 3, [(-0.22, 0.22)] * 3, 16)
-        anchor = chart.points[0]
-        K = float(fld.apply(as_expr(phase)).value(anchor[None, :])[0])
-        if K == 0.0:
-            K = 1.0
-        lhs, rhs = decay_bound_probe(paper, phase, psi, fld, 2, K, nodes=24)
-        ratios.append(lhs / rhs)
-    assert max(ratios) < 10.0
 
 
 def test_l_operator_expression_size_stays_modest(paper):
