@@ -138,6 +138,16 @@ def _count(cfg, section, key, least):
     return n
 
 
+def _tolerance(cfg, section, key):
+    """A float config value that bounds an error; one that is not finite
+    and positive is a config error."""
+    x = cfg.get_float(section, key)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ConfigError(f"{section}.{key} must be finite and positive, "
+                          f"got {x!r}")
+    return x
+
+
 def _one_lambda(args, cfg, section):
     """The single frequency of ibp and kernel: --lambda, else the config."""
     lams = args.lam or [cfg.get_float(section, "lambda")]
@@ -187,7 +197,7 @@ def cmd_reconstruct(cfg, manifest, args):
     from .selftest import check_analysis_bound, check_reconstruction
     from .window import make_window
     seed = args.seed if args.seed is not None else cfg.get_int("reconstruct", "seed")
-    tol = cfg.get_float("reconstruct", "tolerance")
+    tol = _tolerance(cfg, "reconstruct", "tolerance")
     n = _count(cfg, "reconstruct", "n_signals", 1)
     frac = cfg.get_float("reconstruct", "xi_band")
     w = make_window()  # one window for both criteria
@@ -236,7 +246,7 @@ def cmd_ibp(cfg, manifest, args):
     if not orders or not all(1 <= N <= 3 for N in orders):
         raise ConfigError("ibp.orders must be one or more of 1, 2, 3, "
                           f"got {orders}")
-    tol = cfg.get_float("ibp", "tolerance")
+    tol = _tolerance(cfg, "ibp", "tolerance")
     nodes = _count(cfg, "ibp", "nodes", 1)
     xi = np.array(cfg.get_floats("ibp", "xi"))
     if len(xi) != inst.dim:
@@ -265,21 +275,21 @@ def cmd_kernel(cfg, manifest, args):
     seed = args.seed if args.seed is not None else cfg.get_int("kernel", "seed")
     res = check_kernel_diagnostics(
         n_samples=_count(cfg, "kernel", "n_samples", 1), lam=lam,
-        tol=cfg.get_float("kernel", "oracle_tolerance"),
+        tol=_tolerance(cfg, "kernel", "oracle_tolerance"),
         oracle_nodes=_count(cfg, "kernel", "oracle_nodes", 2), seed=seed,
         inst=inst)
     manifest.check(res.name, res.status, res.detail, elapsed=res.elapsed)
 
     # probe table: criterion 11's kernel values against the stationary-phase
-    # majorant
+    # majorant, each with its distance from the oracle
     rows = kernel_decay_probe(inst, res.extras["samples"], lam, N=3)
     _write_csv(manifest.artifact("kernel_probe.csv"),
                ["region", "abs_value", "size_bound", "ratio",
-                "rapid_bound", "rapid_ratio"],
+                "rapid_bound", "rapid_ratio", "oracle_mismatch"],
                [(r.region, abs(r.value), r.size_bound, r.ratio,
                  r.rapid_bound if r.rapid_bound is not None else "",
-                 r.rapid_ratio if r.rapid_ratio is not None else "")
-                for r in rows])
+                 r.rapid_ratio if r.rapid_ratio is not None else "", m)
+                for r, m in zip(rows, res.extras["mismatches"])])
     finite = all(np.isfinite(r.ratio) for r in rows)
     manifest.check("kernel-probe", "pass" if finite else "fail",
                    f"{len(rows)} samples, max ratio "
@@ -298,7 +308,7 @@ def cmd_decay(cfg, manifest, args):
         # the slope target applies to the raw family; norms are reported
         res = check_sharpness_slope(
             target=cfg.get_float("decay", "slope_target"),
-            tol=cfg.get_float("decay", "slope_tol"), inst=inst, lambdas=lams,
+            tol=_tolerance(cfg, "decay", "slope_tol"), inst=inst, lambdas=lams,
             c_prime=cfg.get_float("decay", "c_prime"))
         name, reports = "decay-slope", [("extremizer", res.extras["report"])]
     elif family_kind == "bumps":

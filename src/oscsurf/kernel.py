@@ -479,30 +479,75 @@ def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None):
 
 
 _ORACLE_BLOCK = 1 << 15  # slice points per oracle block
+_HALVINGS = 52     # bisection steps of [-b1, b1]; the root is the last midpoint
+_SEED_LEVEL = 46   # halvings the false-position seed stands in for
 
 
-def _axis_bisection(rho_line, b):
-    """52 halvings of [-b, b] for each line's v -> rho_line(v).
+def _halve(rho_line, lo, sign_lo, b, levels):
+    """Bisection steps `levels` of the brackets whose low ends are lo.
 
-    Returns the midpoints of the final brackets and the mask of lines whose
-    end signs differ.  A bracket keeps its low end where rho has the sign it
-    has at -b, so that sign never changes, and all brackets share one width:
-    only the low ends are stored, in buffers reused across the halvings.
+    Step i halves brackets of width 2b 2^-i at lo + b 2^-i and keeps the
+    low end where rho has its sign at -b, so that sign never changes and
+    only the low ends are stored, in buffers reused across the steps.
     """
-    sign_lo = np.sign(rho_line(-b))
-    crosses = sign_lo != np.sign(rho_line(b))
-    lo = np.full(len(sign_lo), -b)
     mid = np.empty_like(lo)
     sign_mid = np.empty_like(lo)
     left = np.empty(len(lo), dtype=bool)
-    half = b
-    for _ in range(52):
-        np.add(lo, half, out=mid)
+    for i in levels:
+        np.add(lo, b * 2.0 ** -i, out=mid)
         np.sign(rho_line(mid), out=sign_mid)
         np.equal(sign_mid, sign_lo, out=left)
         np.copyto(lo, mid, where=left)
-        half *= 0.5
-    return lo + half, crosses
+    return lo
+
+
+def _axis_bisection(rho, j0, slice_pts, b):
+    """The root of rho on the chart-axis line through each slice point, as
+    52 halvings of [-b, b] would find it, bit for bit.
+
+    Returns the roots (NaN on lines that do not cross) and the mask of lines
+    whose end signs differ.  On a crossing line, one false-position step
+    from the end values seeds the bracket that the first _SEED_LEVEL
+    halvings reach: its cell of width h = 2b 2^-_SEED_LEVEL on the dyadic
+    grid of [-b, b], kept when rho has its sign at -b on the cell's low end
+    and not on its high end.  For rho monotone along the line, rounding
+    noise far below h cannot put a second sign change on that grid, so the
+    kept cell is the halvings' own, and the remaining halvings then run as
+    before.  Lines whose cell fails the check run the first _SEED_LEVEL
+    halvings as well, on their own restriction.  When b is not a power of
+    two the halvings' sums round, so no grid point is known in closed
+    form, and every line runs all 52 halvings.
+    """
+    rho_line = rho.along_axis(j0, slice_pts)
+    f_lo = rho_line(-b).copy()  # the next call may reuse the buffer
+    f_hi = rho_line(b)
+    sign_lo = np.sign(f_lo)
+    crosses = sign_lo != np.sign(f_hi)
+    roots = np.full(len(crosses), np.nan)
+    if not crosses.any():
+        return roots, crosses
+    f_lo, f_hi, sign_lo = f_lo[crosses], f_hi[crosses], sign_lo[crosses]
+    pts = slice_pts[crosses]
+    rho_line = rho.along_axis(j0, pts)
+    if math.frexp(b)[0] == 0.5:
+        cells = 2.0 ** _SEED_LEVEL
+        h = 2.0 * b / cells
+        # the false-position fraction lies in [0, 1], and at 1 the cell
+        # starts at b and fails the check; k h - b is exact, as the
+        # halvings' sums are
+        lo = np.floor(f_lo / (f_lo - f_hi) * cells) * h - b
+        seeded = np.sign(rho_line(lo)) == sign_lo
+        seeded &= np.sign(rho_line(lo + h)) != sign_lo
+    else:
+        lo = np.full(len(pts), -b)
+        seeded = np.zeros(len(pts), dtype=bool)
+    if not seeded.all():
+        bad = ~seeded
+        lo[bad] = _halve(rho.along_axis(j0, pts[bad]), np.full(bad.sum(), -b),
+                         sign_lo[bad], b, range(_SEED_LEVEL))
+    lo = _halve(rho_line, lo, sign_lo, b, range(_SEED_LEVEL, _HALVINGS))
+    roots[crosses] = lo + b * 2.0 ** -_HALVINGS
+    return roots, crosses
 
 
 def _trapezoid_axes(slice_boxes, nodes_per_axis):
@@ -538,12 +583,14 @@ def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
     """Independent brute-force oracle for the packet kernel.
 
     Uniform trapezoid grid over the slice box, bisection-only root solve of
-    rho restricted to the chart-axis line (52 halvings of [-b1, b1]),
-    explicit graph density.  Shares no quadrature machinery with kernel_eval
-    beyond the field oracles, the packets and the integrand's product.  The
-    grid is lifted and summed a block at a time, so every array stays the
-    size of one block; the slice-axis packets and amplitude factors are
-    evaluated once per call on the grid axes and gathered per block.
+    rho restricted to the chart-axis line (the roots of 52 halvings of
+    [-b1, b1], bit for bit, with the first 46 replaced by a checked
+    false-position seed, see _axis_bisection), explicit graph density.
+    Shares no quadrature machinery with kernel_eval beyond the field
+    oracles, the packets and the integrand's product.  The grid is lifted
+    and summed a block at a time, so every array stays the size of one
+    block; the slice-axis packets and amplitude factors are evaluated once
+    per call on the grid axes and gathered per block.
     """
     if nodes_per_axis < 2:
         raise ConstraintError("the oracle's trapezoid rule needs at least "
@@ -557,8 +604,7 @@ def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
     total = 0.0 + 0.0j
     for slice_pts, weight, idx in _trapezoid_blocks(slice_boxes,
                                                     nodes_per_axis):
-        roots, crosses = _axis_bisection(
-            inst.rho.along_axis(j0, slice_pts), inst.b1)
+        roots, crosses = _axis_bisection(inst.rho, j0, slice_pts, inst.b1)
         pts = np.insert(slice_pts[crosses], j0, roots[crosses], axis=1)
         kept = [i[crosses] for i in idx]
 

@@ -336,7 +336,8 @@ def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
                              oracle_nodes=120, seed=7, inst=None):
     """Kernel values against the independent dense oracle, plus the exact
     vanishing short-circuits, on a d = 2 instance (default: the paper
-    instance).  extras["samples"] holds the (y, xi, kernel value) triples."""
+    instance).  extras["samples"] holds the (y, xi, kernel value) triples
+    and extras["mismatches"] their relative distances from the oracle."""
     inst = inst or _paper_instance()
     if inst.d != 2:
         raise ConstraintError(
@@ -371,10 +372,13 @@ def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
                              np.array([7.0, 7.0, 7.0, 7.0]), lam)
     zeros_exact = (far == 0.0) and (off == 0.0)
     passed = worst <= tol and zeros_exact
+    # argmax picks the first NaN, the sample that makes worst NaN
+    at = f" (sample {int(np.argmax(mismatches))})" if mismatches else ""
     return CheckResult("kernel-diagnostics", passed,
-                       f"max oracle mismatch {worst:.2%}; "
+                       f"max oracle mismatch {worst:.2%}{at}; "
                        f"exact zeros: {zeros_exact}",
-                       extras={"worst": worst, "samples": samples})
+                       extras={"worst": worst, "mismatches": mismatches,
+                               "samples": samples})
 
 
 ALL_CHECKS = [

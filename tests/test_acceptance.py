@@ -90,6 +90,20 @@ def test_kernel_diagnostics_fail_on_a_nan_oracle(monkeypatch):
     res = selftest.check_kernel_diagnostics(n_samples=2)
     assert not res.passed
     assert math.isnan(res.extras["worst"])
+    assert all(math.isnan(m) for m in res.extras["mismatches"])
+    assert res.detail.startswith("max oracle mismatch nan% (sample 0); ")
+
+
+def test_kernel_diagnostics_name_the_worst_sample(monkeypatch):
+    # the second of three oracle values is off by 50%, the others by 0%
+    values = iter([1.0, 2.0, 1.0])
+    monkeypatch.setattr(kernel, "kernel_eval", lambda *args: 1.0 + 0.0j)
+    monkeypatch.setattr(kernel, "kernel_eval_dense",
+                        lambda *args, **kwargs: next(values))
+    res = selftest.check_kernel_diagnostics(n_samples=3)
+    assert res.extras["mismatches"] == [0.0, 0.5, 0.0]
+    assert res.detail.startswith("max oracle mismatch 50.00% (sample 1); ")
+    assert not res.passed
 
 
 def test_one_oracle_node_per_axis_is_rejected():

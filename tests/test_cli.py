@@ -404,8 +404,14 @@ n_samples = 1
     assert list(checks) == ["kernel-diagnostics", "kernel-probe"]
     assert checks["kernel-diagnostics"]["elapsed_s"] >= 0.0
     lines = (out / "kernel_probe.csv").read_text().splitlines()
-    assert lines[0] == "region,abs_value,size_bound,ratio,rapid_bound,rapid_ratio"
+    assert lines[0] == ("region,abs_value,size_bound,ratio,rapid_bound,"
+                        "rapid_ratio,oracle_mismatch")
     assert len(lines) == 2
+    # the row carries its sample's oracle mismatch, the one the check names
+    mismatch = float(lines[1].split(",")[-1])
+    assert 0.0 <= mismatch <= 0.01
+    assert checks["kernel-diagnostics"]["detail"].startswith(
+        f"max oracle mismatch {mismatch:.2%} (sample 0); ")
     # one window; the sample's kernel once, plus the two short-circuits
     assert len(windows) == 1
     assert len(kernels) == 3
@@ -520,3 +526,22 @@ def test_out_of_range_count_is_config_error(tmp_path, command, text, key):
     assert code == 2
     assert [c["name"] for c in manifest["checks"]] == ["config"]
     assert key in manifest["checks"][0]["detail"]
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("reconstruct", "reconstruct", "tolerance", "nan"),
+    ("reconstruct", "reconstruct", "tolerance", "0"),
+    ("ibp", "ibp", "tolerance", "-1"),
+    ("ibp", "ibp", "tolerance", "inf"),
+    ("kernel", "kernel", "oracle_tolerance", "nan"),
+    ("kernel", "kernel", "oracle_tolerance", "-0.01"),
+    ("decay", "decay", "slope_tol", "nan"),
+    ("decay", "decay", "slope_tol", "0"),
+])
+def test_bad_tolerance_is_config_error(tmp_path, command, section, key, value):
+    code, out, manifest = run(tmp_path, command, "--config", write_config(
+        tmp_path, f"[{section}]\n{key} = {value}\n"))
+    assert code == 2
+    assert [c["name"] for c in manifest["checks"]] == ["config"]
+    assert f"{section}.{key}" in manifest["checks"][0]["detail"]
+    assert sorted(manifest["artifacts"]) == sorted(os.listdir(out))

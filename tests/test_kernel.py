@@ -21,6 +21,7 @@ from oscsurf.kernel import (
     QuadPolicy,
     TestFunctionFamily,
     _ORACLE_BLOCK,
+    _SEED_LEVEL,
     _axis_bisection,
     _axis_phase_rates,
     _chart_values,
@@ -497,8 +498,7 @@ def test_dense_oracle_gather_is_bitwise(paper, w):
     assert n ** 3 <= _ORACLE_BLOCK  # one block
     factors, j0, boxes = _packet_setup(paper, w, t, y, xi, None)
     (slice_pts, weight, _), = _trapezoid_blocks(boxes, n)
-    roots, crosses = _axis_bisection(paper.rho.along_axis(j0, slice_pts),
-                                     paper.b1)
+    roots, crosses = _axis_bisection(paper.rho, j0, slice_pts, paper.b1)
     pts = np.insert(slice_pts[crosses], j0, roots[crosses], axis=1)
     grad = paper.grad_rho(pts)
     dpsi = -np.delete(grad, j0, axis=1) / grad[:, j0:j0 + 1]
@@ -573,13 +573,120 @@ def test_dense_bisection_matches_graph_solve():
     # where rounding alone would decide whether the segment crosses M
     slice_pts = np.random.default_rng(11).uniform(-0.5, 0.5, size=(2000, 3))
     for j0 in (3, 0):
-        roots, crosses = _axis_bisection(
-            inst.rho.along_axis(j0, slice_pts), inst.b1)
+        roots, crosses = _axis_bisection(inst.rho, j0, slice_pts, inst.b1)
         # the Newton solve stops at |rho| <= tol, so its root is within
         # tol / min |d_j0 rho| of the true one: ask for a tight residual
         want, found = graph_solve_grid(inst, j0, slice_pts, tol=1e-14)
         assert np.array_equal(crosses, found) and crosses.any()
         assert np.max(np.abs(roots[crosses] - want[found])) <= 1e-12
+
+
+def _bisect_52(rho_line, b):
+    """The dense oracle's root solve before it was seeded: 52 halvings of
+    [-b, b] on every line, returning the final midpoints and the mask of
+    lines whose end signs differ."""
+    sign_lo = np.sign(rho_line(-b))
+    crosses = sign_lo != np.sign(rho_line(b))
+    lo = np.full(len(sign_lo), -b)
+    mid = np.empty_like(lo)
+    sign_mid = np.empty_like(lo)
+    left = np.empty(len(lo), dtype=bool)
+    half = b
+    for _ in range(52):
+        np.add(lo, half, out=mid)
+        np.sign(rho_line(mid), out=sign_mid)
+        np.equal(sign_mid, sign_lo, out=left)
+        np.copyto(lo, mid, where=left)
+        half *= 0.5
+    return lo + half, crosses
+
+
+class _CountingField:
+    """A field whose along_axis callables count the line points they
+    evaluate."""
+
+    def __init__(self, field):
+        self.field = field
+        self.points = 0
+
+    def along_axis(self, j0, slice_pts):
+        rho_line = self.field.along_axis(j0, slice_pts)
+
+        def counted(v):
+            out = rho_line(v)
+            self.points += len(out)
+            return out
+
+        return counted
+
+
+def _seeded_vs_52(rho, j0, slice_pts, b):
+    """Assert the seeded solve is the 52 halvings bit for bit; return the
+    line points it evaluated per crossing line."""
+    counter = _CountingField(rho)
+    roots, crosses = _axis_bisection(counter, j0, slice_pts, b)
+    want, want_crosses = _bisect_52(rho.along_axis(j0, slice_pts), b)
+    assert np.array_equal(crosses, want_crosses), j0
+    assert np.array_equal(roots[crosses], want[crosses]), j0
+    assert np.isnan(roots[~crosses]).all()
+    return counter.points / max(crosses.sum(), 1)
+
+
+def test_seeded_bisection_is_bitwise_on_oracle_blocks(paper, w):
+    """The first 120-node/axis oracle block of a packet sample, on every
+    chart axis: the same roots as 52 halvings from at most 14 line
+    evaluations per crossing line (the halvings take 54)."""
+    t, y, xi = _packet_sample(paper, w, 100.0)
+    for j0 in range(4):
+        _, _, boxes = _packet_setup(paper, w, t, y, xi, j0)
+        slice_pts = next(_trapezoid_blocks(boxes, 120))[0]
+        assert len(slice_pts) == _ORACLE_BLOCK
+        assert _seeded_vs_52(paper.rho, j0, slice_pts, paper.b1) <= 14
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_seeded_bisection_is_bitwise_on_the_cubic(generic):
+    rho = _cubic_rho()
+    if generic:
+        rho = ScaledSumField([1.0], [rho])
+    slice_pts = np.random.default_rng(5).uniform(-0.5, 0.5, size=(4000, 3))
+    evals = [_seeded_vs_52(rho, j0, slice_pts, 0.5) for j0 in range(4)]
+    assert max(evals[:3]) <= 14
+    # cubic along axis 3: false position misses the cell on every line,
+    # and the fallback costs the check and the last halvings on top of 54
+    assert 14 < evals[3] <= 54 + 8
+
+
+def test_seeded_bisection_is_bitwise_off_a_dyadic_box():
+    """With b not a power of two every line takes the 52 halvings."""
+    slice_pts = np.random.default_rng(6).uniform(-0.6, 0.6, size=(2000, 3))
+    for j0 in range(4):
+        assert _seeded_vs_52(_cubic_rho(), j0, slice_pts, 0.6) <= 54 + 2
+
+
+def test_seeded_bisection_is_bitwise_on_constructed_lines():
+    """rho = +-(x_4 - x_1) on the lines along axis 3: roots exactly on the
+    seed's grid and a few ulps off it, at both ends of [-b, b], and lines
+    that do not cross."""
+    b = 0.5
+    h = 2.0 * b / 2.0 ** _SEED_LEVEL
+    cells = np.array([0, 1, 2, 3, 1000, 2 ** 45, 2 ** _SEED_LEVEL - 1,
+                      2 ** _SEED_LEVEL], dtype=float)
+    on_grid = cells * h - b
+    roots = np.concatenate([on_grid, np.nextafter(on_grid, -1.0),
+                            np.nextafter(on_grid, 1.0),
+                            on_grid[1:-1] + 0.5 * h, on_grid[1:-1] + 1e-3 * h,
+                            [0.1, -0.3], [b + 0.01, -b - 0.01]])
+    slice_pts = np.zeros((len(roots), 3))
+    slice_pts[:, 0] = roots
+    for sign in (1.0, -1.0):
+        rho = PolynomialField(4, {(0, 0, 0, 1): sign, (1, 0, 0, 0): -sign},
+                              half_widths=b)
+        _seeded_vs_52(rho, 3, slice_pts, b)
+        crosses = _axis_bisection(rho, 3, slice_pts, b)[1]
+        # a zero at -b or at b still crosses; beyond the ends nothing does
+        assert crosses[[0, len(cells) - 1]].all()
+        assert not crosses[-2:].any()
 
 
 def test_dense_oracle_generic_field_path(w):
