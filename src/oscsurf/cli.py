@@ -281,19 +281,26 @@ def cmd_kernel(cfg, manifest, args):
     manifest.check(res.name, res.status, res.detail, elapsed=res.elapsed)
 
     # probe table: criterion 11's kernel values against the stationary-phase
-    # majorant, each with its distance from the oracle
+    # majorant, each with its distance from the oracle and its own
+    # agreement flag
     rows = kernel_decay_probe(inst, res.extras["samples"], lam, N=3)
+    converged = res.extras["converged"]
     _write_csv(manifest.artifact("kernel_probe.csv"),
                ["region", "abs_value", "size_bound", "ratio",
-                "rapid_bound", "rapid_ratio", "oracle_mismatch"],
+                "rapid_bound", "rapid_ratio", "oracle_mismatch", "converged"],
                [(r.region, abs(r.value), r.size_bound, r.ratio,
                  r.rapid_bound if r.rapid_bound is not None else "",
-                 r.rapid_ratio if r.rapid_ratio is not None else "", m)
-                for r, m in zip(rows, res.extras["mismatches"])])
+                 r.rapid_ratio if r.rapid_ratio is not None else "", m, ok)
+                for r, m, ok in zip(rows, res.extras["mismatches"],
+                                    converged)])
     finite = all(np.isfinite(r.ratio) for r in rows)
     manifest.check("kernel-probe", "pass" if finite else "fail",
                    f"{len(rows)} samples, max ratio "
                    f"{max(r.ratio for r in rows):.4g}")
+    unconverged = [str(k) for k, ok in enumerate(converged) if not ok]
+    if unconverged:
+        raise NonConvergenceError("kernel agreement check failed for sample "
+                                  + ", ".join(unconverged))
 
 
 def cmd_decay(cfg, manifest, args):

@@ -23,6 +23,7 @@ width constant when violated.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -379,12 +380,19 @@ def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
                          else (b, n_b))
     if diagnostics is not None:
         if quad.check:
-            mismatch = abs(a - b) / max(abs(value), 1e-300)
+            mismatch, converged = _agreement(a, b, value, quad)
             diagnostics.setdefault("refinement_mismatch", {})[lam] = mismatch
-            diagnostics.setdefault("converged", {})[lam] = (
-                mismatch <= quad.agree_tol or abs(value) < 1e-14)
+            diagnostics.setdefault("converged", {})[lam] = converged
         diagnostics.setdefault("n_nodes", {})[lam] = n_used
     return value
+
+
+def _agreement(a, b, value, quad):
+    """The agreement rule for two estimates a and b of value: their
+    relative mismatch, and whether it is within quad.agree_tol (or value
+    is below 1e-14 in size)."""
+    mismatch = abs(a - b) / max(abs(value), 1e-300)
+    return mismatch, mismatch <= quad.agree_tol or abs(value) < 1e-14
 
 
 def extremizer_quality(inst, fam, lam, j0=None):
@@ -461,21 +469,62 @@ def _packet_setup(inst, w, t, y, xi, j0):
     return factors, j0, [b for j, b in enumerate(boxes) if j != j0]
 
 
-def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None):
-    """The packet kernel: the functional evaluated on 2d shifted packets,
-    by the first estimate of eval_I's rule (the tensor rule for d = 2, one
-    Sobol scramble for d = 3).
+def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None, diagnostics=None):
+    """The packet kernel: the functional evaluated on 2d shifted packets.
+
+    For d = 2 the tensor rule chooses its own resolution.  It runs at node
+    counts scaled by 1/quad.refine_factor and then 1, and while two
+    consecutive estimates disagree by eval_I's rule (relative mismatch above
+    quad.agree_tol, unless |value| < 1e-14) it steps the scale up by
+    quad.refine_factor; the finer estimate of the agreeing pair is returned.
+    Where the first pair agrees that is the scale-1 rule.  A step past the
+    per-axis node cap ends the ladder unconverged with the finest estimate
+    reached (NaN if none fits), and nothing is raised.  For d = 3 it takes
+    eval_I's first estimate, one Sobol scramble, with no agreement check.
+
+    diagnostics, when given, receives "n_nodes" (summed over the steps)
+    and, for d = 2, "mismatch" (of the last pair compared; NaN when fewer
+    than two estimates fit) and "converged".
 
     Exact zero short-circuits: some packet support misses the amplitude box
     (covers y outside the domain), or the surface misses the support box
     entirely (covers |rho(y)| large compared to the packet scales).
     """
+    quad = quad or DEFAULT_QUAD
     setup = _packet_setup(inst, w, t, y, xi, j0)
     if setup is None:
-        return 0.0 + 0.0j
-    factors, j0, slice_boxes = setup
-    return _estimate(inst, factors, lam, j0, slice_boxes,
-                     quad or DEFAULT_QUAD, 0)[0]
+        value, info = 0.0 + 0.0j, {"n_nodes": 0, "mismatch": 0.0,
+                                   "converged": True}
+    else:
+        factors, j0, boxes = setup
+        if inst.dim - 1 > 3:
+            value, n = _estimate(inst, factors, lam, j0, boxes, quad, 0)
+            info = {"n_nodes": n}
+        else:
+            value, info = _tensor_ladder(inst, factors, lam, j0, boxes, quad)
+    if diagnostics is not None:
+        diagnostics.update(info)
+    return value
+
+
+def _tensor_ladder(inst, factors, lam, j0, boxes, quad):
+    """kernel_eval's d = 2 rule as (value, diagnostics); see there."""
+    value, mismatch, n_total = complex(math.nan, math.nan), math.nan, 0
+    converged = False
+    for step in itertools.count(-1):
+        try:
+            finer, n = _tensor_value(inst, factors, lam, j0, boxes, quad,
+                                     quad.refine_factor ** step)
+        except NonConvergenceError:  # past the node cap
+            break
+        n_total += n
+        if step > -1:
+            mismatch, converged = _agreement(value, finer, finer, quad)
+        value = finer
+        if converged:
+            break
+    return value, {"n_nodes": n_total, "mismatch": mismatch,
+                   "converged": converged}
 
 
 _ORACLE_BLOCK = 1 << 15  # slice points per oracle block

@@ -132,6 +132,9 @@ def box_grid(inst, density):
     return _grid_points(inst.dim, inst.b1, density)
 
 
+_CERTIFY_ROWS = 256  # x points per block of the certificate scan
+
+
 def certify(inst, x_grid, circle_grid_pts, threshold=1e-10, lipschitz_padding=False):
     """Scan the box grid and circle grid; report the certified floor.
 
@@ -152,12 +155,16 @@ def certify(inst, x_grid, circle_grid_pts, threshold=1e-10, lipschitz_padding=Fa
     best_part = np.zeros((nx, nw), dtype=np.int32)
     tt = circle_grid_pts[None, :, 0]
     tau = circle_grid_pts[None, :, 1]
-    for k, p in enumerate(parts):
-        mats = bordered_matrix(inst, p, x_grid[:, None, :], tt, tau)
-        dets = np.abs(np.linalg.det(mats))
-        better = dets > best
-        best_part = np.where(better, k, best_part)
-        best = np.where(better, dets, best)
+    # one block of x rows at a time: a row's matrices and determinants do
+    # not depend on the other rows, and the block's matrices stay small
+    for i in range(0, nx, _CERTIFY_ROWS):
+        rows = slice(i, i + _CERTIFY_ROWS)
+        for k, p in enumerate(parts):
+            mats = bordered_matrix(inst, p, x_grid[rows, None, :], tt, tau)
+            dets = np.abs(np.linalg.det(mats))
+            better = dets > best[rows]
+            best_part[rows][better] = k
+            best[rows][better] = dets[better]
 
     flat = best.reshape(-1)
     imin = int(flat.argmin())

@@ -336,8 +336,9 @@ def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
                              oracle_nodes=120, seed=7, inst=None):
     """Kernel values against the independent dense oracle, plus the exact
     vanishing short-circuits, on a d = 2 instance (default: the paper
-    instance).  extras["samples"] holds the (y, xi, kernel value) triples
-    and extras["mismatches"] their relative distances from the oracle."""
+    instance).  extras["samples"] holds the (y, xi, kernel value) triples,
+    extras["mismatches"] their relative distances from the oracle and
+    extras["converged"] the kernel's own agreement flags."""
     inst = inst or _paper_instance()
     if inst.d != 2:
         raise ConstraintError(
@@ -348,6 +349,7 @@ def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
     rng = np.random.default_rng(seed)
     samples = []
     mismatches = []
+    converged = []
     while len(samples) < n_samples:
         # y on M, free coordinates in +-b0/2; xi off cell boundaries
         y = rng.uniform(-0.5 * inst.b0, 0.5 * inst.b0, size=inst.dim)
@@ -358,7 +360,9 @@ def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
         xi = np.where(np.abs(xi % t.n0) < 0.25, xi + 0.37 * t.n0, xi)
         if any(tiling.locate(t, float(x)) is None for x in xi):
             continue
-        val = kernel.kernel_eval(inst, w, t, y, xi, lam)
+        diag = {}
+        val = kernel.kernel_eval(inst, w, t, y, xi, lam, diagnostics=diag)
+        converged.append(diag.get("converged", True))
         oracle = kernel.kernel_eval_dense(inst, w, t, y, xi, lam,
                                           nodes_per_axis=oracle_nodes)
         mismatches.append(abs(val - oracle) / max(abs(oracle), 1e-12))
@@ -378,7 +382,7 @@ def check_kernel_diagnostics(n_samples=20, lam=100.0, tol=0.01,
                        f"max oracle mismatch {worst:.2%}{at}; "
                        f"exact zeros: {zeros_exact}",
                        extras={"worst": worst, "mismatches": mismatches,
-                               "samples": samples})
+                               "converged": converged, "samples": samples})
 
 
 ALL_CHECKS = [

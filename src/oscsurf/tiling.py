@@ -142,6 +142,9 @@ def _isqrt_vec(x):
     return r
 
 
+_BATTERY_BLOCK = 1 << 16  # draws per block of the battery's checks
+
+
 def boxsize_battery(n_samples, seed=0, lam_max=10**6, denominator=64):
     """Random exact verification of the cell length bound.
 
@@ -156,13 +159,24 @@ def boxsize_battery(n_samples, seed=0, lam_max=10**6, denominator=64):
     s = int(denominator)
     a = rng.integers(s, lam_max * s + 1, size=n_samples, dtype=np.int64)
     c = rng.integers(-4 * a, 4 * a + 1, dtype=np.int64)
+    # the draws are made in full, so the sample stream does not depend on
+    # the block size; the checks run a block at a time
+    n_failed = 0
+    for i in range(0, n_samples, _BATTERY_BLOCK):
+        n_failed += _boxsize_failures(a[i:i + _BATTERY_BLOCK],
+                                      c[i:i + _BATTERY_BLOCK], s)
+    return int(n_samples), n_failed
 
+
+def _boxsize_failures(a, c, s):
+    """The number of draws (lambda, xi) = (a/s, c/s) whose cell misses the
+    bound, in integer arithmetic."""
     lam_floor = a // s
     n0 = _isqrt_vec(lam_floor)
     c_abs = np.abs(c)
 
     central = c_abs <= n0 * n0 * s
-    L = np.empty(n_samples, dtype=np.int64)
+    L = np.empty(len(a), dtype=np.int64)
     L[central] = n0[central]
 
     # quadratic cells: m = floor(sqrt(|xi|)), clipped up to n0
@@ -176,7 +190,7 @@ def boxsize_battery(n_samples, seed=0, lam_max=10**6, denominator=64):
     lower_ok = L * L * s <= 9 * mx
     upper_ok = mx <= 4 * L * L * s
     ok = lower_ok & upper_ok
-    return int(n_samples), int(np.count_nonzero(~ok))
+    return int(np.count_nonzero(~ok))
 
 
 def tiling_rows(t):

@@ -77,9 +77,29 @@ def bump_deriv(k, t, half=BUMP_HALF):
     return unit_bump_deriv(k, np.asarray(t, dtype=float) / half) / half**k
 
 
+_BLOCK = 256  # points per block of the per-point quadratures
+
+
+def _in_blocks(fn, x):
+    """fn(x) for an fn that maps each point of x to one value on its own,
+    evaluated on _BLOCK points at a time, so that fn's per-point
+    temporaries (a quadrature rule per point) stay small.  The result has
+    x's shape, 0-d and empty included, and each value is fn's at that
+    point, bit for bit."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    for i in range(0, flat.size, _BLOCK):
+        out[i:i + _BLOCK] = fn(flat[i:i + _BLOCK])
+    return out.reshape(x.shape)
+
+
 def _autocorr_deriv(k, x):
     """(g * g^(k))(x) over the overlap interval, vectorized in x."""
-    x = np.asarray(x, dtype=float)
+    return _in_blocks(functools.partial(_autocorr_deriv_rows, k), x)
+
+
+def _autocorr_deriv_rows(k, x):
     lo = np.maximum(-BUMP_HALF, x - BUMP_HALF)
     hi = np.minimum(BUMP_HALF, x + BUMP_HALF)
     width = hi - lo
@@ -101,7 +121,10 @@ def _bump_samples():
 def _bump_transform(u):
     """Real transform of the base bump: integral over its support of
     g(t) cos(2 pi u t) dt (g is even)."""
-    u = np.asarray(u, dtype=float)
+    return _in_blocks(_bump_transform_rows, u)
+
+
+def _bump_transform_rows(u):
     t, g, wts = _bump_samples()
     return BUMP_HALF * np.sum(g * np.cos(2.0 * np.pi * u[..., None] * t) * wts,
                               axis=-1)

@@ -97,7 +97,8 @@ def test_kernel_diagnostics_fail_on_a_nan_oracle(monkeypatch):
 def test_kernel_diagnostics_name_the_worst_sample(monkeypatch):
     # the second of three oracle values is off by 50%, the others by 0%
     values = iter([1.0, 2.0, 1.0])
-    monkeypatch.setattr(kernel, "kernel_eval", lambda *args: 1.0 + 0.0j)
+    monkeypatch.setattr(kernel, "kernel_eval",
+                        lambda *args, **kwargs: 1.0 + 0.0j)
     monkeypatch.setattr(kernel, "kernel_eval_dense",
                         lambda *args, **kwargs: next(values))
     res = selftest.check_kernel_diagnostics(n_samples=3)

@@ -405,16 +405,43 @@ n_samples = 1
     assert checks["kernel-diagnostics"]["elapsed_s"] >= 0.0
     lines = (out / "kernel_probe.csv").read_text().splitlines()
     assert lines[0] == ("region,abs_value,size_bound,ratio,rapid_bound,"
-                        "rapid_ratio,oracle_mismatch")
+                        "rapid_ratio,oracle_mismatch,converged")
     assert len(lines) == 2
-    # the row carries its sample's oracle mismatch, the one the check names
-    mismatch = float(lines[1].split(",")[-1])
+    # the row carries its sample's oracle mismatch, the one the check names,
+    # and the kernel's own agreement flag
+    *_, mismatch, converged = lines[1].split(",")
+    mismatch = float(mismatch)
+    assert converged == "True"
     assert 0.0 <= mismatch <= 0.01
     assert checks["kernel-diagnostics"]["detail"].startswith(
         f"max oracle mismatch {mismatch:.2%} (sample 0); ")
     # one window; the sample's kernel once, plus the two short-circuits
     assert len(windows) == 1
     assert len(kernels) == 3
+
+
+def test_kernel_subcommand_reports_an_unconverged_kernel(tmp_path,
+                                                         monkeypatch):
+    # criterion 11's sample needs (70, 66, 72) nodes per axis at scale 1:
+    # under a cap of 60 only the coarse estimate fits, so its kernel is
+    # unconverged
+    from oscsurf import kernel
+    monkeypatch.setattr(kernel, "DEFAULT_QUAD", kernel.QuadPolicy(max_nodes=60))
+    cfg = write_config(tmp_path, """
+[kernel]
+n_samples = 1
+""")
+    code, out, manifest = run(tmp_path, "kernel", "--config", cfg)
+    assert code == 3
+    checks = {c["name"]: c for c in manifest["checks"]}
+    assert list(checks) == ["kernel-diagnostics", "kernel-probe",
+                            "non-convergence"]
+    assert checks["non-convergence"]["status"] == "fail"
+    assert checks["non-convergence"]["detail"].endswith("for sample 0")
+    # the table is still written, with the sample's flag
+    lines = (out / "kernel_probe.csv").read_text().splitlines()
+    assert lines[1].endswith(",False")
+    assert sorted(manifest["artifacts"]) == sorted(os.listdir(out))
 
 
 def test_kernel_subcommand_rejects_no_samples(tmp_path):

@@ -123,6 +123,48 @@ def test_certify_lipschitz_padding_lowers_the_floor(paper, density):
             == certify(paper, center, circle).c_lower)
 
 
+def _scan_one_shot(inst, x_grid, circle):
+    """certify's scan before it ran in blocks of x rows: each partition's
+    matrices over the whole grid at once.  Returns the best |det| and the
+    best partition per (x, omega) sample."""
+    best = np.full((len(x_grid), len(circle)), -np.inf)
+    best_part = np.zeros(best.shape, dtype=np.int32)
+    for k, p in enumerate(all_partitions(inst.d)):
+        mats = bordered_matrix(inst, p, x_grid[:, None, :],
+                               circle[None, :, 0], circle[None, :, 1])
+        dets = np.abs(np.linalg.det(mats))
+        better = dets > best
+        best_part = np.where(better, k, best_part)
+        best = np.where(better, dets, best)
+    return best, best_part
+
+
+def test_certify_in_row_blocks_matches_one_shot_scan(paper):
+    grid, circle = box_grid(paper, 9), circle_grid(64)
+    assert len(grid) % 256 != 0  # a partial last block
+    best, best_part = _scan_one_shot(paper, grid, circle)
+    # a threshold that fails the 1000 smallest samples, spread over the grid
+    threshold = np.sort(best, axis=None)[1000]
+    rep = certify(paper, grid, circle, threshold=threshold)
+    fails = np.argwhere(best < threshold)
+    assert 0 < len(fails) <= 1000
+    assert rep.failures == [{"x": grid[i].tolist(), "omega": circle[j].tolist(),
+                             "max_abs_det": float(best[i, j])}
+                            for i, j in fails]
+    ix, iw = np.unravel_index(best.argmin(), best.shape)
+    assert rep.c_lower == best[ix, iw]
+    assert rep.witness == {"x": grid[ix].tolist(), "omega": circle[iw].tolist(),
+                           "partition": rep.partitions[best_part[ix, iw]],
+                           "abs_det": float(best[ix, iw])}
+
+
+def test_certify_memory_is_bounded(paper, peak_mb):
+    # the one-shot scan held 6,561 x 64 bordered 5 x 5 matrices per
+    # partition, a peak of about 80 MB
+    grid, circle = box_grid(paper, 9), circle_grid(64)
+    assert peak_mb(certify, paper, grid, circle) < 24.0
+
+
 def test_box_grid_is_the_instance_sample_grid(paper):
     axis = np.linspace(-paper.b1, paper.b1, 5)
     mesh = np.meshgrid(*([axis] * paper.dim), indexing="ij")

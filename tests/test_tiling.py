@@ -93,6 +93,12 @@ def test_random_battery_smoke():
     assert checked == 10**5 and failed == 0
 
 
+def test_random_battery_memory_is_bounded(peak_mb):
+    # the draws take 32 MB; the checks on all 10^6 draws at once took
+    # about 55 MB more
+    assert peak_mb(boxsize_battery, 10**6, seed=1) < 48.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10**6), st.integers(1, 64),
        st.fractions(min_value=-4, max_value=4))

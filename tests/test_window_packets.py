@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,14 @@ from oscsurf.wavepackets import (
     spectrum,
     synthesis,
 )
-from oscsurf.window import make_window
+from oscsurf.window import (
+    _BLOCK,
+    _autocorr_deriv,
+    _autocorr_deriv_rows,
+    _bump_transform,
+    _bump_transform_rows,
+    make_window,
+)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +82,37 @@ def test_phi_deriv_matches_difference_quotient(w):
     h = 1e-6
     fd = (w.phi(x + h) - w.phi(x - h)) / (2 * h)
     assert np.max(np.abs(fd - w.phi_deriv(1, x))) < 1e-4
+
+
+# (blocked, one-shot, half-width of the test points)
+QUADRATURES = [(_bump_transform, _bump_transform_rows, 40.0)] + [
+    (functools.partial(_autocorr_deriv, k),
+     functools.partial(_autocorr_deriv_rows, k), 0.3) for k in range(4)]
+
+
+@pytest.mark.parametrize("blocked, one_shot, span", QUADRATURES)
+def test_blocked_quadratures_match_one_shot(blocked, one_shot, span):
+    """The per-point quadratures, run in blocks of _BLOCK points, give the
+    one-shot values bit for bit and keep the input's shape."""
+    rng = np.random.default_rng(1)
+    for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+        x = rng.uniform(-span, span, size=n)
+        got = blocked(x)
+        assert got.shape == (n,)
+        assert np.array_equal(got, one_shot(x))
+    x = rng.uniform(-span, span, size=(_BLOCK // 3, 7))  # blocks cross rows
+    got = blocked(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, one_shot(x.ravel()).reshape(x.shape))
+    got = blocked(0.1)
+    assert np.shape(got) == ()
+    assert got == one_shot(np.array([0.1]))[0]
+
+
+def test_window_build_memory_is_bounded(peak_mb):
+    # the one-shot quadratures held 16,385 x 256 and 16,385 x 160 arrays,
+    # a peak of about 260 MB
+    assert peak_mb(make_window) < 32.0
 
 
 # -- packets ------------------------------------------------------------------
