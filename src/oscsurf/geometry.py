@@ -147,11 +147,14 @@ def chart_on_surface(inst, j0, slice_pts, weights):
                         kept=found)
 
 
-def build_chart(inst, j0, boxes, nodes_per_axis):
+def build_chart(inst, j0, boxes, nodes_per_axis, rows=slice(None)):
     """Tensor Gauss-Legendre chart on M over the slice box.
 
     boxes: per-slice-axis (lo, hi) pairs, 2d-1 of them in slice order (the
-    j0 axis removed).  nodes_per_axis: int or per-axis counts.
+    j0 axis removed).  nodes_per_axis: int or per-axis counts.  rows, a
+    slice of the first slice axis's nodes, restricts the chart to that slab
+    of the grid; its nodes_per_axis, kept and slice_nodes are then the
+    slab's own.
     """
     dim = inst.dim
     boxes = [(float(lo), float(hi)) for lo, hi in boxes]
@@ -159,10 +162,12 @@ def build_chart(inst, j0, boxes, nodes_per_axis):
         raise ConstraintError("need one (lo, hi) box per slice axis")
     if np.isscalar(nodes_per_axis):
         nodes_per_axis = (int(nodes_per_axis),) * (dim - 1)
-    nodes_per_axis = tuple(int(n) for n in nodes_per_axis)
 
-    axes, wts = zip(*(gauss_legendre(n, lo, hi)
+    axes, wts = zip(*(gauss_legendre(int(n), lo, hi)
                       for (lo, hi), n in zip(boxes, nodes_per_axis)))
+    axes = (axes[0][rows],) + axes[1:]
+    wts = (wts[0][rows],) + wts[1:]
+    nodes_per_axis = tuple(len(x) for x in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     slice_pts = np.stack([m.ravel() for m in mesh], axis=-1)
     weights = np.ones(slice_pts.shape[0])
@@ -173,6 +178,35 @@ def build_chart(inst, j0, boxes, nodes_per_axis):
     chart.nodes_per_axis = nodes_per_axis
     chart.slice_nodes = axes
     return chart
+
+
+BLOCK_NODES = 1 << 16  # slice points per block of a blockwise surface rule
+
+
+def tensor_integral(inst, j0, boxes, nodes_per_axis, values):
+    """The tensor Gauss-Legendre rule of build_chart, one slab of rows of
+    the first slice axis at a time: (sum of weights * values(chart), number
+    of kept nodes).
+
+    values maps a chart to its integrand at chart.points.  Each slab has
+    about BLOCK_NODES grid nodes (at least one row); its weighted values go
+    into one array in grid order and are summed once, so the result equals
+    build_chart(...).integrate(values(chart)) on the whole grid bit for bit
+    whenever values is computed point by point.  Memory is 16 B per grid
+    node plus one slab's chart.
+    """
+    counts = np.broadcast_to(nodes_per_axis, (inst.dim - 1,))
+    n_rows, per_row = int(counts[0]), int(np.prod(counts[1:]))
+    step = max(1, BLOCK_NODES // per_row)
+    out = np.empty(n_rows * per_row, dtype=complex)
+    n_kept = 0
+    for start in range(0, n_rows, step):
+        chart = build_chart(inst, j0, boxes, nodes_per_axis,
+                            rows=slice(start, start + step))
+        k = len(chart.points)
+        out[n_kept:n_kept + k] = chart.weights * values(chart)
+        n_kept += k
+    return complex(np.sum(out[:n_kept])), n_kept
 
 
 _CHART_CACHE_NODES = 2_000_000

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintError, NonConvergenceError
-from .geometry import cached_chart, chart_on_surface, gauss_legendre
+from .geometry import (BLOCK_NODES, cached_chart, chart_on_surface,
+                       gauss_legendre, tensor_integral)
 from .wavepackets import packet_for
 
 TWO_PI = 2.0 * math.pi
@@ -319,7 +320,7 @@ def _qmc_value(inst, factors, lam, j0, boxes, quad, seed):
     total = 0.0 + 0.0j
     done = 0
     while done < n:
-        block = min(n - done, 1 << 16)
+        block = min(n - done, BLOCK_NODES)
         slice_pts = lo + sampler.random(block) * (hi - lo)
         chart = chart_on_surface(inst, j0, slice_pts, np.ones(block))
         total += chart.integrate(_chart_values(inst, chart, lam, factors))
@@ -328,12 +329,13 @@ def _qmc_value(inst, factors, lam, j0, boxes, quad, seed):
 
 
 def _tensor_value(inst, factors, lam, j0, boxes, quad, scale):
-    """The oscillation-resolved tensor rule, node counts times scale."""
+    """The oscillation-resolved tensor rule, node counts times scale, as
+    (value, nodes), evaluated in slabs (geometry.tensor_integral)."""
     nodes = _nodes_for(quad, _axis_phase_rates(inst, lam, factors, j0), boxes,
                        scale=scale)
-    chart = cached_chart(inst, j0, boxes, nodes)
-    return (chart.integrate(_chart_values(inst, chart, lam, factors)),
-            len(chart.points))
+    return tensor_integral(
+        inst, j0, boxes, nodes,
+        lambda chart: _chart_values(inst, chart, lam, factors))
 
 
 def _estimate(inst, factors, lam, j0, boxes, quad, second):

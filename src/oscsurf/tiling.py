@@ -142,7 +142,7 @@ def _isqrt_vec(x):
     return r
 
 
-_BATTERY_BLOCK = 1 << 16  # draws per block of the battery's checks
+_BATTERY_BLOCK = 1 << 16  # draws of c per block of the battery's checks
 
 
 def boxsize_battery(n_samples, seed=0, lam_max=10**6, denominator=64):
@@ -158,13 +158,14 @@ def boxsize_battery(n_samples, seed=0, lam_max=10**6, denominator=64):
     rng = np.random.default_rng(seed)
     s = int(denominator)
     a = rng.integers(s, lam_max * s + 1, size=n_samples, dtype=np.int64)
-    c = rng.integers(-4 * a, 4 * a + 1, dtype=np.int64)
-    # the draws are made in full, so the sample stream does not depend on
-    # the block size; the checks run a block at a time
+    # c is drawn a block at a time from the same generator: numpy draws
+    # array-bounded integers one after another, so the blocks continue the
+    # stream of a single draw over all of a
     n_failed = 0
     for i in range(0, n_samples, _BATTERY_BLOCK):
-        n_failed += _boxsize_failures(a[i:i + _BATTERY_BLOCK],
-                                      c[i:i + _BATTERY_BLOCK], s)
+        a_block = a[i:i + _BATTERY_BLOCK]
+        c = rng.integers(-4 * a_block, 4 * a_block + 1, dtype=np.int64)
+        n_failed += _boxsize_failures(a_block, c, s)
     return int(n_samples), n_failed
 
 

@@ -72,11 +72,18 @@ def test_tracer_reaches_the_layers(tracer):
     tr.install()
     try:
         kernel.eval_I(inst, fam, 25.0)
+        after_eval = tracer.layer_metrics(tr.spans, {})
+        # eval_I builds its charts slab by slab without the chart cache;
+        # the cache's requests come from the extremizer calibration
+        kernel.calibrate_extremizer(inst, kernel.extremizer_family(inst),
+                                    [25.0])
         dense = kernel.kernel_eval_dense(inst, w, t, y, xi, 100.0,
                                          nodes_per_axis=24)
     finally:
         tr.uninstall()
     assert dense != 0
+    for name in ("geometry.chart.builds", "geometry.chart.nodes"):
+        assert after_eval[name][0] > 0, name
     metrics = tracer.layer_metrics(tr.spans, {})
     for name in ("fields.bump.points", "fields.bump1d.points",
                  "window.phi.points", "wavepackets.packet.points",

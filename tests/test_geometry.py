@@ -13,6 +13,7 @@ from oscsurf.geometry import (
     gauss_legendre,
     grad_psi,
     graph_solve,
+    tensor_integral,
 )
 from oscsurf.instance import admissible_constants, make_instance
 
@@ -153,6 +154,41 @@ def test_chart_independence(paper):
     charts = [build_chart(paper, j0, [(-0.2, 0.2)] * 3, 40) for j0 in (2, 3)]
     vals = [chart.integrate(bump.eval(chart.points)) for chart in charts]
     assert abs(vals[0] - vals[1]) / abs(vals[1]) < 1e-6
+
+
+def _oscillating(chart):
+    # an integrand computed point by point, with a gathered slice factor
+    x = chart.points
+    return (np.exp(1j * 40.0 * (x[:, 0] + 2.0 * x[:, 3] - x[:, 1]))
+            * chart.line_values(1, np.cos))
+
+
+@pytest.mark.parametrize("j0, nodes", [
+    (3, (20, 18, 16)),  # smaller than one slab
+    (3, (50, 40, 37)),  # slabs of 44 rows, the last one of 6
+    (2, (40, 41, 52)),  # j0 = 2; slabs of 30 rows, the last one of 10
+    (3, (3, 260, 260)),  # one row is above BLOCK_NODES: slabs of one row
+])
+def test_tensor_integral_equals_the_one_shot_chart(paper, j0, nodes):
+    boxes = [(-0.25, 0.25), (-0.2, 0.3), (-0.3, 0.22)]
+    chart = build_chart(paper, j0, boxes, nodes)
+    assert 0 < len(chart.points) < math.prod(nodes)
+    want = (chart.integrate(_oscillating(chart)), len(chart.points))
+    assert repr(tensor_integral(paper, j0, boxes, nodes, _oscillating)) \
+        == repr(want)
+
+
+def test_build_chart_rows_is_a_slab_of_the_grid(paper):
+    boxes = [(-0.25, 0.25)] * 3
+    full = build_chart(paper, 3, boxes, (9, 7, 8))
+    slab = build_chart(paper, 3, boxes, (9, 7, 8), rows=slice(4, 7))
+    assert slab.nodes_per_axis == (3, 7, 8)
+    assert np.array_equal(slab.kept, full.kept[4:7])
+    assert np.array_equal(slab.slice_nodes[0], full.slice_nodes[0][4:7])
+    first = full.kept[:4].sum()
+    rows = slice(first, first + len(slab.points))
+    assert np.array_equal(slab.points, full.points[rows])
+    assert np.array_equal(slab.weights, full.weights[rows])
 
 
 def test_chart_cache_holds_a_node_budget(monkeypatch):

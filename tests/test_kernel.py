@@ -436,6 +436,29 @@ def test_kernel_refines_until_two_scales_agree(paper, w, y, xi, oracle):
     assert abs(val - oracle) <= 0.01 * abs(oracle)
 
 
+def test_kernel_ladder_is_pinned(paper, w):
+    # seed 8 sample 11 of UNDER_RESOLVED steps past scale 1; its value and
+    # diagnostics as the whole-chart tensor rule gave them
+    y, xi, _ = UNDER_RESOLVED[1]
+    diag = {}
+    val = kernel_eval(paper, w, build_tiling(100.0, 600.0), np.array(y),
+                      np.array(xi), 100.0, diagnostics=diag)
+    assert repr(val) == "(7.365843163429465e-08-6.356759949586622e-09j)"
+    assert repr(diag) == ("{'n_nodes': 374380, 'mismatch': "
+                          "0.0009692846250821883, 'converged': True}")
+
+
+def test_eval_I_memory_is_bounded(paper, peak_mb):
+    # the refined rule has 158 x 152 x 50 = 1.2 M grid nodes; built as one
+    # chart with its integrand it peaked at about 230 MB
+    fam = random_bump_family(paper, np.random.default_rng(9))
+    diag, out = {}, []
+    assert peak_mb(lambda: out.append(
+        eval_I(paper, fam, 800.0, diagnostics=diag))) < 48.0
+    assert repr(out[0]) == "(0.04137724696199083-0.02595508922638844j)"
+    assert diag["n_nodes"] == {800.0: 1116897}
+
+
 def test_kernel_node_cap_is_reported_not_raised(paper, w):
     lam = 100.0
     t = build_tiling(lam, 6 * lam)

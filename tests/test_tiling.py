@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscsurf import tiling
 from oscsurf.errors import BoundaryFrequencyError, ConstraintError
 from oscsurf.tiling import (
     boxsize_battery,
@@ -94,9 +96,39 @@ def test_random_battery_smoke():
 
 
 def test_random_battery_memory_is_bounded(peak_mb):
-    # the draws take 32 MB; the checks on all 10^6 draws at once took
-    # about 55 MB more
-    assert peak_mb(boxsize_battery, 10**6, seed=1) < 48.0
+    # a takes 8 MB; c and the checks take one block's worth.  With c and
+    # its bounds drawn whole the draws took 32 MB, and with the checks on
+    # all 10^6 draws at once about 55 MB more
+    assert peak_mb(boxsize_battery, 10**6, seed=1) < 16.0
+
+
+def _one_shot_draws(n_samples, seed, lam_max, s):
+    # the battery's draws made in one piece, the reference sample stream
+    rng = np.random.default_rng(seed)
+    a = rng.integers(s, lam_max * s + 1, size=n_samples, dtype=np.int64)
+    return a, rng.integers(-4 * a, 4 * a + 1, dtype=np.int64)
+
+
+# at lam_max = 10^8 most ranges 8a pass 2^32 and numpy draws them on its
+# 64-bit path; at 10^6 every range takes the 32-bit path
+@pytest.mark.parametrize("lam_max", [10**6, 10**8])
+def test_battery_draws_c_in_blocks_as_one_stream(monkeypatch, lam_max):
+    blocks = []
+    failures = tiling._boxsize_failures
+
+    def record(a, c, s):
+        blocks.append((a.copy(), c.copy()))
+        return failures(a, c, s)
+
+    monkeypatch.setattr(tiling, "_boxsize_failures", record)
+    n = 2 * tiling._BATTERY_BLOCK + 123
+    result = boxsize_battery(n, seed=5, lam_max=lam_max)
+    a, c = _one_shot_draws(n, 5, lam_max, 64)
+    assert [len(x) for x, _ in blocks] == [tiling._BATTERY_BLOCK] * 2 + [123]
+    assert np.array_equal(np.concatenate([x for x, _ in blocks]), a)
+    assert np.array_equal(np.concatenate([y for _, y in blocks]), c)
+    assert result == (n, failures(a, c, 64)) == (n, 0)
+    assert np.any(8 * a > 2**32) == (lam_max > 10**6)
 
 
 @settings(max_examples=200, deadline=None)
