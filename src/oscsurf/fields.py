@@ -71,26 +71,6 @@ class SmoothField:
     # factors g_j as callables on 1-D arrays; None for other fields
     axis_factors = None
 
-    def on_lines(self, alpha, j0, slice_pts):
-        """The restriction v -> d^alpha f(slice point with v inserted at axis
-        j0) for fixed (n, dim - 1) slice points, as a callable on a scalar or
-        an (n,) array.  This version writes the j0 column of one
-        preallocated (n, dim) point array and evaluates the field there."""
-        slice_pts = np.asarray(slice_pts, dtype=float)
-        pts = np.empty((slice_pts.shape[0], self.dim))
-        pts[:, :j0] = slice_pts[:, :j0]
-        pts[:, j0 + 1:] = slice_pts[:, j0:]
-
-        def restricted(v):
-            pts[:, j0] = v
-            return self.deriv(alpha, pts)
-
-        return restricted
-
-    def along_axis(self, j0, slice_pts):
-        """on_lines of f; the values may share a buffer the next call reuses."""
-        return self.on_lines((0,) * self.dim, j0, slice_pts)
-
 
 def _power_table(column):
     """(j, e) -> column(j) ** e, each computed once; e = 1 is the column."""
@@ -149,43 +129,11 @@ class PolynomialField(SmoothField):
             out += term
         return out
 
-    def on_lines(self, alpha, j0, slice_pts):
-        """_deriv(alpha, .) on the axis lines, bit for bit: the factors before
-        j0 (all factors, for a term constant along the line) and the sum of
-        the leading constant terms are multiplied and added once."""
-        slice_pts = np.asarray(slice_pts, dtype=float)
-        power = _power_table(lambda j: slice_pts[:, j - (j > j0)])
-        head = np.zeros(slice_pts.shape[0])
-        rest = []  # (product before j0, exponent of v, factors after j0)
-        for expo, term in self._derived_terms(alpha).items():
-            ev = expo[j0]
-            for j in range(j0 if ev else self.dim):
-                if expo[j]:
-                    term = term * power(j, expo[j])
-            if ev or rest:
-                rest.append((term, ev, [power(j, expo[j]) for j in
-                                        range(j0 + 1, self.dim) if ev and expo[j]]))
-            else:
-                head += term
-
-        def restricted(v):
-            v_power = _power_table(lambda j: np.full(len(head), v, dtype=float))
-            out = head.copy()
-            for term, ev, after in rest:
-                if ev:
-                    term = term * v_power(j0, ev)
-                    for f in after:
-                        term = term * f
-                out += term
-            return out
-
-        return restricted
-
-    def along_axis(self, j0, slice_pts):
-        """Polynomial restriction to the axis lines: the coefficient arrays
-        c_k(slice) of v^k are built once from the terms, and each call
-        evaluates sum_k c_k v^k by in-place Horner (one multiply-add for a
-        field affine along axis j0)."""
+    def line_coefficients(self, j0, slice_pts):
+        """The restriction to the axis-j0 lines through the (n, dim - 1) slice
+        points, as the coefficient arrays [c_0, ..., c_top] of v^k built
+        once from the terms; a power no term has is the scalar 0.0.
+        Evaluate it, or its axis derivative [k c_k], with horner."""
         slice_pts = np.asarray(slice_pts, dtype=float)
         n = slice_pts.shape[0]
         coeffs = {}
@@ -195,18 +143,23 @@ class PolynomialField(SmoothField):
                 if e:
                     col *= slice_pts[:, j] ** e
             coeffs[expo[j0]] = coeffs.get(expo[j0], 0.0) + col
-        top = max(coeffs, default=0)
-        chain = [coeffs.get(k, 0.0) for k in range(top, -1, -1)]
-        out = np.empty(n)
+        return [coeffs.get(k, 0.0) for k in range(max(coeffs, default=0) + 1)]
 
-        def restricted(v):
-            out[:] = chain[0]
-            for c in chain[1:]:
-                np.multiply(out, v, out=out)
-                np.add(out, c, out=out)
-            return out
 
-        return restricted
+def horner(coeffs, n):
+    """v -> sum_k coeffs[k] v^k on n lines by in-place Horner (one
+    multiply-add for a line polynomial of degree one); the values share a
+    buffer the next call reuses."""
+    out = np.empty(n)
+
+    def restricted(v):
+        out[:] = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            np.multiply(out, v, out=out)
+            np.add(out, c, out=out)
+        return out
+
+    return restricted
 
 
 def bump1d_value(k, t, half_width, order):
@@ -272,33 +225,6 @@ class BumpField(SmoothField):
                                       self.half_widths[j], self.centers[j:j + 1]):
                 g.eval(x[:, None])
                 for j in range(self.dim)]
-
-
-class ScaledSumField(SmoothField):
-    """c_1 * F_1 + ... + c_n * F_n for fields on a common box."""
-
-    def __init__(self, coeffs, fields):
-        if not fields:
-            raise ValueError("empty field sum")
-        dim = fields[0].dim
-        if any(f.dim != dim for f in fields):
-            raise ValueError("field dimensions differ")
-        van = None
-        orders = [f.vanishes_above for f in fields]
-        if all(o is not None for o in orders):
-            van = max(orders)
-        super().__init__(dim, fields[0].half_widths,
-                         max_order=min(f.max_order for f in fields),
-                         vanishes_above=van)
-        self.coeffs = [complex(c) if isinstance(c, complex) else float(c) for c in coeffs]
-        self.fields = list(fields)
-
-    def _deriv(self, alpha, pts):
-        out = None
-        for c, f in zip(self.coeffs, self.fields):
-            term = c * f._deriv(alpha, pts)
-            out = term if out is None else out + term
-        return out
 
 
 class FDField(SmoothField):

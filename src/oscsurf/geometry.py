@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintError, NonConvergenceError, NoRootError
-from .fields import unit_index
+from .fields import horner
 
 DEFAULT_TOL_SCALE = 1e-12
 _NEWTON_MAX = 80
@@ -29,10 +29,13 @@ def graph_solve_grid(inst, j0, slice_pts, tol=None):
 
     Returns (values, found): the solved coordinate per slice point and a mask
     of points whose axis segment inside the box actually crosses M.  Clipped
-    Newton iteration on rho's restriction to the axis lines (on_lines);
-    monotonicity of rho along the axis guarantees a bracket whenever the
-    endpoint signs differ.  A found point with |rho| > tol at its assembled
-    root raises NonConvergenceError.
+    Newton iteration on rho's restriction to the axis lines, its value and
+    its chart-axis derivative both by Horner on the coefficient arrays of
+    rho.line_coefficients; monotonicity of rho along the axis guarantees a
+    bracket whenever the endpoint signs differ.  Newton stops at
+    |rho| <= tol / 2 on the Horner values, which round differently from
+    rho.eval's; a found point with |rho.eval| > tol at its assembled root
+    raises NonConvergenceError.
     """
     dim = inst.dim
     if not 0 <= j0 < dim:
@@ -41,17 +44,20 @@ def graph_solve_grid(inst, j0, slice_pts, tol=None):
         tol = DEFAULT_TOL_SCALE * (1.0 + abs(inst.b1))
     slice_pts = np.asarray(slice_pts, dtype=float)
     b = inst.b1
-    rho = inst.rho.on_lines((0,) * dim, j0, slice_pts)
-    d_rho = inst.rho.on_lines(unit_index(dim, j0), j0, slice_pts)
+    n = slice_pts.shape[0]
+    coeffs = inst.rho.line_coefficients(j0, slice_pts)
+    rho = horner(coeffs, n)
+    d_rho = horner([k * c for k, c in enumerate(coeffs)][1:] or [0.0], n)
 
-    f_lo, f_hi = rho(-b), rho(b)
+    f_lo = rho(-b).copy()  # the next call reuses the buffer
+    f_hi = rho(b)
     found = np.sign(f_lo) != np.sign(f_hi)
     found |= (f_lo == 0.0) | (f_hi == 0.0)
 
-    x = np.zeros(slice_pts.shape[0])
+    x = np.zeros(n)
     for _ in range(_NEWTON_MAX):
         f = rho(x)
-        active = found & (np.abs(f) > tol)
+        active = found & (np.abs(f) > 0.5 * tol)
         if not np.any(active):
             break
         df = d_rho(x)

@@ -54,13 +54,14 @@ class ProblemInstance:
     on the grid_density grid: c_rho, the grid sup of the derivatives of rho
     to order 2d+3; axis_inf, the per-axis grid infima of |d_i rho|; and
     c_rho_inv, the reciprocal of axis_inf.min(), inf when that infimum falls
-    below the gradient floor.
+    below the gradient floor.  rho is a PolynomialField: the root solves
+    work on its line coefficients.
     """
 
     d: int
     b0: float
     b1: float
-    rho: SmoothField
+    rho: PolynomialField
     phi: SmoothField
     amp: SmoothField
     grid_density: int = 9
@@ -74,15 +75,14 @@ class ProblemInstance:
             raise ConstraintError("dimension parameter d must be at least 2")
         if not (0 < self.b0 < self.b1):
             raise ConstraintError("need 0 < b0 < b1")
+        if not isinstance(self.rho, PolynomialField):
+            raise ConstraintError("rho must be a PolynomialField")
         if self.rho.dim != 2 * self.d:
             raise ConstraintError("rho has wrong dimension")
-        need = 2 * self.d + 3
-        if self.rho.max_order < need:
+        need = 2 * self.d + 2
+        if min(self.phi.max_order, self.amp.max_order) < need:
             raise ConstraintError(
-                f"rho must provide derivatives to order {need}")
-        if min(self.phi.max_order, self.amp.max_order) < need - 1:
-            raise ConstraintError(
-                f"phi and amp must provide derivatives to order {need - 1}")
+                f"phi and amp must provide derivatives to order {need}")
         # lenient at construction: degenerate test fields (e.g. the flat
         # hyperplane) are allowed to exist; strict checks live in
         # admissible_constants and in the operations that need them

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintError, NonConvergenceError
+from .fields import horner
 from .geometry import (BLOCK_NODES, cached_chart, chart_on_surface,
                        gauss_legendre, tensor_integral)
 from .wavepackets import packet_for
@@ -569,8 +570,11 @@ def _axis_bisection(rho, j0, slice_pts, b):
     two the halvings' sums round, so no grid point is known in closed
     form, and every line runs all 52 halvings.
     """
-    rho_line = rho.along_axis(j0, slice_pts)
-    f_lo = rho_line(-b).copy()  # the next call may reuse the buffer
+    def on_axis(pts):
+        return horner(rho.line_coefficients(j0, pts), len(pts))
+
+    rho_line = on_axis(slice_pts)
+    f_lo = rho_line(-b).copy()  # the next call reuses the buffer
     f_hi = rho_line(b)
     sign_lo = np.sign(f_lo)
     crosses = sign_lo != np.sign(f_hi)
@@ -579,7 +583,7 @@ def _axis_bisection(rho, j0, slice_pts, b):
         return roots, crosses
     f_lo, f_hi, sign_lo = f_lo[crosses], f_hi[crosses], sign_lo[crosses]
     pts = slice_pts[crosses]
-    rho_line = rho.along_axis(j0, pts)
+    rho_line = on_axis(pts)
     if math.frexp(b)[0] == 0.5:
         cells = 2.0 ** _SEED_LEVEL
         h = 2.0 * b / cells
@@ -594,7 +598,7 @@ def _axis_bisection(rho, j0, slice_pts, b):
         seeded = np.zeros(len(pts), dtype=bool)
     if not seeded.all():
         bad = ~seeded
-        lo[bad] = _halve(rho.along_axis(j0, pts[bad]), np.full(bad.sum(), -b),
+        lo[bad] = _halve(on_axis(pts[bad]), np.full(bad.sum(), -b),
                          sign_lo[bad], b, range(_SEED_LEVEL))
     lo = _halve(rho_line, lo, sign_lo, b, range(_SEED_LEVEL, _HALVINGS))
     roots[crosses] = lo + b * 2.0 ** -_HALVINGS
@@ -638,10 +642,11 @@ def kernel_eval_dense(inst, w, t, y, xi, lam, nodes_per_axis=72, j0=None):
     [-b1, b1], bit for bit, with the first 46 replaced by a checked
     false-position seed, see _axis_bisection), explicit graph density.
     Shares no quadrature machinery with kernel_eval beyond the field
-    oracles, the packets and the integrand's product.  The grid is lifted
-    and summed a block at a time, so every array stays the size of one
-    block; the slice-axis packets and amplitude factors are evaluated once
-    per call on the grid axes and gathered per block.
+    oracles (rho's line coefficients among them), the packets and the
+    integrand's product.  The grid is lifted and summed a block at a time,
+    so every array stays the size of one block; the slice-axis packets and
+    amplitude factors are evaluated once per call on the grid axes and
+    gathered per block.
     """
     if nodes_per_axis < 2:
         raise ConstraintError("the oracle's trapezoid rule needs at least "

@@ -1,9 +1,11 @@
-"""No dead exports: every name the package exports has a code caller.
+"""No dead code surface: every name the package exports, and every public
+module-level function and class of a library module, has a code caller.
 
-A caller is a Name or Attribute node (not a docstring, comment or import)
-in a library module other than ``oscsurf/__init__.py`` or in one of the
-benchmark's ``perfbench/*.py`` files.  Tests do not count: a name only the
-tests reach is library surface that nothing else uses.
+A caller is a Name or Attribute node (not a docstring, comment, import or
+the definition itself) in a library module other than
+``oscsurf/__init__.py`` or in one of the benchmark's ``perfbench/*.py``
+files.  Tests do not count: a name only the tests reach is library surface
+that nothing else uses.
 """
 
 import ast
@@ -14,8 +16,10 @@ PACKAGE = ROOT / "src" / "oscsurf"
 
 # exported without a caller, on purpose
 ALLOWED = {
-    "FDField": "the only field for a user-supplied callable; its derivative "
-               "oracle is finite differences, so no built-in instance uses it",
+    "FDField": "the finite-difference reference that the closed-form "
+               "derivative tests compare against; it serves as Phi or the "
+               "amplitude of a custom instance, never as rho, which must be "
+               "a PolynomialField",
     "psi_map": "the change-of-variables map itself; the Jacobian test "
                "differentiates it to check psi_jacobian, which criterion 6 "
                "uses",
@@ -28,6 +32,14 @@ def _exports():
             for node in tree.body
             if isinstance(node, ast.ImportFrom) and node.level == 1
             for alias in node.names]
+
+
+def _public_definitions():
+    return [node.name
+            for path in PACKAGE.glob("*.py")
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
 
 
 def _referenced_names():
@@ -47,6 +59,8 @@ def test_every_export_has_a_caller():
     exports = _exports()
     assert set(ALLOWED) <= set(exports)
     referenced = _referenced_names()
-    dead = [name for name in exports
+    assert not set(ALLOWED) & referenced  # a stale entry hides nothing
+    public = dict.fromkeys(exports + _public_definitions())
+    dead = [name for name in public
             if name not in referenced and name not in ALLOWED]
     assert dead == []

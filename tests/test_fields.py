@@ -8,12 +8,12 @@ from oscsurf.fields import (
     BumpField,
     FDField,
     PolynomialField,
-    ScaledSumField,
     _bump1d_polys,
     bump1d_value,
     example_phi_even,
     example_phi_odd,
     example_rho,
+    horner,
     multi_indices,
     parse_polynomial_table,
     unit_index,
@@ -150,21 +150,6 @@ LINE_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("terms", LINE_FIELDS)
-@pytest.mark.parametrize("j0", range(4))
-def test_along_axis_matches_eval_on_the_line(terms, j0):
-    poly = PolynomialField(4, terms, half_widths=0.5)
-    generic = ScaledSumField([1.0], [poly])  # no override: the buffer path
-    rng = np.random.default_rng(j0)
-    slice_pts = rng.uniform(-0.5, 0.5, size=(50, 3))
-    poly_line = poly.along_axis(j0, slice_pts)
-    generic_line = generic.along_axis(j0, slice_pts)
-    for v in (-0.5, rng.uniform(-0.5, 0.5, size=50), 0.5):
-        want = poly.eval(np.insert(slice_pts, j0, v, axis=1))
-        assert np.allclose(poly_line(v), want, rtol=1e-14, atol=1e-15)
-        assert np.array_equal(generic_line(v), want)
-
-
 def _deriv_full_loop(poly, alpha, pts):
     """PolynomialField._deriv as it was before the per-call power table:
     each term starts from np.full and raises every column it uses."""
@@ -195,18 +180,20 @@ def test_deriv_power_table_is_bitwise_the_full_loop(terms):
 
 @pytest.mark.parametrize("terms", LINE_FIELDS + [_random_cubic_terms(6)])
 @pytest.mark.parametrize("j0", range(4))
-def test_on_lines_is_bitwise_deriv_on_the_assembled_points(terms, j0):
+def test_along_axis_matches_eval_on_the_line(terms, j0):
+    """The line coefficients c_k and the derivative coefficients [k c_k],
+    by Horner, give rho and its chart-axis derivative on the line."""
     poly = PolynomialField(4, terms, half_widths=0.5)
-    generic = ScaledSumField([1.0], [poly])  # the base class's assembly path
     rng = np.random.default_rng(j0)
     slice_pts = rng.uniform(-0.5, 0.5, size=(50, 3))
-    for alpha in ((0, 0, 0, 0), unit_index(4, j0)):
-        poly_line = poly.on_lines(alpha, j0, slice_pts)
-        generic_line = generic.on_lines(alpha, j0, slice_pts)
-        for v in (-0.5, rng.uniform(-0.5, 0.5, size=50), 0.0, 0.5):
-            want = poly.deriv(alpha, np.insert(slice_pts, j0, v, axis=1))
-            assert np.array_equal(poly_line(v), want), (alpha, v)
-            assert np.array_equal(generic_line(v), want), (alpha, v)
+    coeffs = poly.line_coefficients(j0, slice_pts)
+    line = horner(coeffs, 50)
+    d_line = horner([k * c for k, c in enumerate(coeffs)][1:] or [0.0], 50)
+    for v in (-0.5, rng.uniform(-0.5, 0.5, size=50), 0.0, 0.5):
+        pts = np.insert(slice_pts, j0, v, axis=1)
+        assert np.allclose(line(v), poly.eval(pts), rtol=1e-14, atol=1e-15)
+        assert np.allclose(d_line(v), poly.deriv(unit_index(4, j0), pts),
+                           rtol=1e-14, atol=1e-15)
 
 
 def test_parse_polynomial_table_roundtrip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oscsurf.errors import ConstraintError
-from oscsurf.fields import FDField
+from oscsurf.fields import FDField, example_rho
 from oscsurf.instance import make_instance
 from oscsurf.kernel import (
     QuadPolicy,
@@ -71,6 +71,12 @@ def test_d3_extremizer_sharpness_slope():
 # -- derivative-order validation --------------------------------------------------
 
 def test_instance_rejects_low_order_oracle():
-    f = FDField(4, lambda p: p.sum(axis=-1), half_widths=0.5, max_order=4)
-    with pytest.raises(ConstraintError):
-        make_instance("custom", b0=0.3, b1=0.5, rho=f)
+    rho = example_rho(2, 0.5)
+    # Phi needs derivatives to order 2d + 2 = 6
+    phi = FDField(4, lambda p: p.sum(axis=-1), half_widths=0.5, max_order=4)
+    with pytest.raises(ConstraintError, match="order 6"):
+        make_instance("custom", b0=0.3, b1=0.5, rho=rho, phi=phi)
+    # rho must be a polynomial, whatever order its oracle claims
+    fd_rho = FDField(4, rho.eval, half_widths=0.5, max_order=10)
+    with pytest.raises(ConstraintError, match="PolynomialField"):
+        make_instance("custom", b0=0.3, b1=0.5, rho=fd_rho)
