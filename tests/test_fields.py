@@ -178,22 +178,45 @@ def test_deriv_power_table_is_bitwise_the_full_loop(terms):
                               _deriv_full_loop(poly, alpha, pts)), alpha
 
 
+def _line_and_derivative(poly, j0, slice_pts):
+    """Horner on rho's line coefficients c_k and on [k c_k]: rho and its
+    chart-axis derivative on the axis-j0 lines through the slice points."""
+    coeffs = poly.line_coefficients(j0, slice_pts)
+    n = len(slice_pts)
+    return (horner(coeffs, n),
+            horner([k * c for k, c in enumerate(coeffs)][1:] or [0.0], n))
+
+
 @pytest.mark.parametrize("terms", LINE_FIELDS + [_random_cubic_terms(6)])
 @pytest.mark.parametrize("j0", range(4))
 def test_along_axis_matches_eval_on_the_line(terms, j0):
-    """The line coefficients c_k and the derivative coefficients [k c_k],
-    by Horner, give rho and its chart-axis derivative on the line."""
     poly = PolynomialField(4, terms, half_widths=0.5)
     rng = np.random.default_rng(j0)
     slice_pts = rng.uniform(-0.5, 0.5, size=(50, 3))
-    coeffs = poly.line_coefficients(j0, slice_pts)
-    line = horner(coeffs, 50)
-    d_line = horner([k * c for k, c in enumerate(coeffs)][1:] or [0.0], 50)
+    line, _ = _line_and_derivative(poly, j0, slice_pts)
     for v in (-0.5, rng.uniform(-0.5, 0.5, size=50), 0.0, 0.5):
-        pts = np.insert(slice_pts, j0, v, axis=1)
-        assert np.allclose(line(v), poly.eval(pts), rtol=1e-14, atol=1e-15)
-        assert np.allclose(d_line(v), poly.deriv(unit_index(4, j0), pts),
-                           rtol=1e-14, atol=1e-15)
+        want = poly.eval(np.insert(slice_pts, j0, v, axis=1))
+        assert np.allclose(line(v), want, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("terms", LINE_FIELDS + [_random_cubic_terms(6)])
+@pytest.mark.parametrize("j0", range(4))
+def test_on_lines_is_bitwise_deriv_on_the_assembled_points(terms, j0):
+    """The line restriction of rho (alpha = 0) and of its chart-axis
+    derivative (alpha = e_j0) against deriv on the assembled points: bit
+    for bit at v = 0, where Horner returns c_0 or c_1 and both sides
+    multiply the same factors in the same order, and to rounding elsewhere."""
+    poly = PolynomialField(4, terms, half_widths=0.5)
+    rng = np.random.default_rng(j0)
+    slice_pts = rng.uniform(-0.5, 0.5, size=(50, 3))
+    lines = _line_and_derivative(poly, j0, slice_pts)
+    for alpha, line in zip(((0, 0, 0, 0), unit_index(4, j0)), lines):
+        for v in (-0.5, rng.uniform(-0.5, 0.5, size=50), 0.0, 0.5):
+            want = poly.deriv(alpha, np.insert(slice_pts, j0, v, axis=1))
+            if np.isscalar(v) and v == 0.0:
+                assert np.array_equal(line(v), want), alpha
+            else:
+                assert np.allclose(line(v), want, rtol=1e-14, atol=1e-15), (alpha, v)
 
 
 def test_parse_polynomial_table_roundtrip():
