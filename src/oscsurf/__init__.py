@@ -64,10 +64,12 @@ from .tangent import (
 )
 from .tiling import IntervalQ, Tiling, build_tiling, locate
 from .wavepackets import (
+    CellTable,
     Coefficients,
     SampledSignal,
     WavePacket,
     analysis,
+    cell_table,
     derivative_bound_probe,
     synthesis,
 )

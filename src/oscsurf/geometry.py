@@ -196,10 +196,14 @@ def tensor_integral(inst, j0, boxes, nodes_per_axis, values):
 
     values maps a chart to its integrand at chart.points.  Each slab has
     about BLOCK_NODES grid nodes (at least one row); its weighted values go
-    into one array in grid order and are summed once, so the result equals
+    into one array in grid order and are summed once.  The result equals
     build_chart(...).integrate(values(chart)) on the whole grid bit for bit
-    whenever values is computed point by point.  Memory is 16 B per grid
-    node plus one slab's chart.
+    only when values gives each point the same bits whatever the chart's
+    size.  The lab's integrand does not: in vals * line(j, f) numpy
+    multiplies into a temporary right operand of 16,384 elements or more in
+    place, as f * vals, and below that as vals * f, and the two orders of a
+    complex product round differently.  So the slab boundaries are part of
+    the result's bits.  Memory is 16 B per grid node plus one slab's chart.
     """
     counts = np.broadcast_to(nodes_per_axis, (inst.dim - 1,))
     n_rows, per_row = int(counts[0]), int(np.prod(counts[1:]))

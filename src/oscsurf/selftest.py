@@ -81,16 +81,17 @@ def check_tiling_boxsize(n_random=10**6, seed=1):
 
 # -- 2 & 3 ------------------------------------------------------------------
 
-def _band_limited_signals(n_signals, seed, band_frac):
-    """(tiling, signal) pairs: n_signals random signals band-limited to
-    band_frac * xi_max per lambda in RECONSTRUCT_LAMBDAS, one generator."""
+def _band_limited_signals(w, n_signals, seed, band_frac):
+    """(cell table, signal) pairs: n_signals random signals band-limited to
+    band_frac * xi_max per lambda in RECONSTRUCT_LAMBDAS, one generator.
+    The signals of one lambda share one cell table of window w."""
     rng = np.random.default_rng(seed)
     for lam in RECONSTRUCT_LAMBDAS:
         xi_max = max(2.0 * lam, 30.0)
-        t = tiling.build_tiling(lam, xi_max)
         grid = wavepackets.signal_grid(xi_max)
+        table = wavepackets.cell_table(w, tiling.build_tiling(lam, xi_max), grid)
         for _ in range(n_signals):
-            yield t, wavepackets.random_band_limited(rng, grid, band_frac * xi_max)
+            yield table, wavepackets.random_band_limited(rng, grid, band_frac * xi_max)
 
 
 @_timed
@@ -99,8 +100,8 @@ def check_reconstruction(n_signals=50, tol=1e-6, seed=2024, band_frac=0.8,
     """Round-trip error of synthesis(analysis(f)) over random band-limited
     signals at lambda in {1, 10, 100}, with window w (default make_window())."""
     w = w if w is not None else make_window()
-    worst = _worst(wavepackets.round_trip_error(w, t, f)
-                   for t, f in _band_limited_signals(n_signals, seed, band_frac))
+    worst = _worst(wavepackets.round_trip_error(table, f)
+                   for table, f in _band_limited_signals(w, n_signals, seed, band_frac))
     return CheckResult("reconstruction", worst <= tol,
                        f"max relative round-trip error {worst:.3e} (tol {tol:g})",
                        extras={"worst": worst})
@@ -113,8 +114,8 @@ def check_analysis_bound(n_signals=50, slack=1e-6, seed=2024, band_frac=0.8,
     signals of check_reconstruction."""
     w = w if w is not None else make_window()
     bound = w.analysis_norm_constant + slack
-    worst = _worst(wavepackets.analysis(w, t, f).norm_squared() / f.norm() ** 2
-                   for t, f in _band_limited_signals(n_signals, seed, band_frac))
+    worst = _worst(wavepackets.analysis(table, f).norm_squared() / f.norm() ** 2
+                   for table, f in _band_limited_signals(w, n_signals, seed, band_frac))
     return CheckResult("analysis-bound", worst <= bound,
                        f"max energy ratio {worst:.8f} (bound {bound:.6f})",
                        extras={"worst": worst, "bound": bound})

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BandLimitError, ConstraintError
-from .tiling import Tiling, locate_strict
+from .tiling import locate_strict
 from .window import Window
 
 
@@ -78,6 +78,47 @@ def from_spectrum(sig, fhat):
     return sig.copy_with(vals)
 
 
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """The window transform of one (window, tiling, grid), cell by cell.
+
+    n, dx and x0 fix the grid.  cells maps each cell of the tiling to
+    (index, hat): the indices of the grid frequencies in the cell and the
+    dilated window transform phi_hat((xi - center) / length) there.
+    outside holds the indices of the frequencies outside the tiling cover.
+    """
+
+    n: int
+    dx: float
+    x0: float
+    outside: np.ndarray
+    cells: dict
+
+    @property
+    def grid(self):
+        return SampledSignal(self.x0, self.dx, np.zeros(self.n, dtype=complex))
+
+    def check_grid(self, what, other):
+        """Raise unless other (a signal or a table) lives on this grid."""
+        if (other.n, other.dx, other.x0) != (self.n, self.dx, self.x0):
+            raise ConstraintError(f"{what} live on another grid than the cell table")
+
+
+def cell_table(w, t, grid):
+    """The CellTable of window w and tiling t on the grid of the signal grid
+    (its values are not read)."""
+    xi = frequencies(grid)
+    lo = min(q.lo for q in t.cells)
+    hi = max(q.hi for q in t.cells)
+    cells = {}
+    for cell in t.cells:
+        index = np.flatnonzero((xi >= cell.lo) & (xi < cell.hi))
+        cells[cell] = (index, w.phi_hat((xi[index] - cell.center) / cell.length))
+    return CellTable(n=grid.n, dx=grid.dx, x0=grid.x0,
+                     outside=np.flatnonzero(~((xi >= lo) & (xi < hi))),
+                     cells=cells)
+
+
 @dataclass(eq=False)
 class Coefficients:
     """Analysis coefficients: per-cell spectral data of V f.
@@ -86,75 +127,63 @@ class Coefficients:
     function y -> V f(y, xi interior to cell).
     """
 
-    tiling: Tiling
-    window: Window
-    grid: SampledSignal
+    table: CellTable
     spectral: dict = field(default_factory=dict)
 
     def norm_squared(self):
         """L^2(dy dxi) energy: the xi integral is exact per cell."""
+        period = self.table.n * self.table.dx
         total = 0.0
         for cell, vhat in self.spectral.items():
-            total += cell.length * float(np.sum(np.abs(vhat) ** 2)) / self.grid.period
+            total += cell.length * float(np.sum(np.abs(vhat) ** 2)) / period
         return total
 
 
-def _cell_mask_and_transform(w, cell, xi):
-    mask = (xi >= cell.lo) & (xi < cell.hi)
-    hat = np.zeros_like(xi)
-    if np.any(mask):
-        hat[mask] = w.phi_hat((xi[mask] - cell.center) / cell.length)
-    return mask, hat
+_BAND_TOL = 1e-7
 
 
-def _cover_range(t):
-    return min(q.lo for q in t.cells), max(q.hi for q in t.cells)
-
-
-def analysis(w, t, sig, band_tol=1e-7):
+def analysis(table, sig):
     """The analysis map: per-cell division of the projected spectrum.
 
     For xi interior to a cell Q the coefficient function is
     |Q|^(-1/2) (T_Q f)(y) with T_Q dividing the spectral projection onto Q by
     the dilated window transform.  Signals with relative L^2 mass above
-    band_tol outside the tiling cover are rejected; below that the tail is
-    projected away (it costs at most band_tol in the round trip).  Cells
+    _BAND_TOL outside the tiling cover are rejected; below that the tail is
+    projected away (it costs at most _BAND_TOL in the round trip).  Cells
     holding only rounding dust (relative mass below 1e-14) are dropped.
     """
-    xi, fhat = spectrum(sig)
+    table.check_grid("the signal samples", sig)
+    _, fhat = spectrum(sig)
     total = float(np.sum(np.abs(fhat) ** 2))
-    lo, hi = _cover_range(t)
-    covered = (xi >= lo) & (xi < hi)
-    out_of_band = float(np.sum(np.abs(fhat[~covered]) ** 2))
-    if total > 0 and out_of_band > band_tol**2 * total:
+    out_of_band = float(np.sum(np.abs(fhat[table.outside]) ** 2))
+    if total > 0 and out_of_band > _BAND_TOL**2 * total:
         raise BandLimitError(
             f"relative out-of-band energy {math.sqrt(out_of_band / total):.3g} "
-            f"exceeds {band_tol:.3g}")
+            f"exceeds {_BAND_TOL:.3g}")
 
-    coeffs = Coefficients(tiling=t, window=w, grid=sig.copy_with(np.zeros(sig.n, dtype=complex)))
+    coeffs = Coefficients(table=table)
     dust = 1e-28 * total
-    for cell in t.cells:
-        mask, hat = _cell_mask_and_transform(w, cell, xi)
-        if float(np.sum(np.abs(fhat[mask]) ** 2)) <= dust:
+    for cell, (index, hat) in table.cells.items():
+        if float(np.sum(np.abs(fhat[index]) ** 2)) <= dust:
             continue
         vhat = np.zeros_like(fhat)
-        vhat[mask] = fhat[mask] / (math.sqrt(cell.length) * hat[mask])
+        vhat[index] = fhat[index] / (math.sqrt(cell.length) * hat)
         coeffs.spectral[cell] = vhat
     return coeffs
 
 
-def synthesis(w, t, coeffs):
+def synthesis(table, coeffs):
     """Reconstruction: sum over cells of |Q| times the convolution of the
     cell coefficient function with the cell packet, evaluated spectrally."""
-    grid = coeffs.grid
-    xi = frequencies(grid)
-    shat = np.zeros(grid.n, dtype=complex)
+    table.check_grid("the coefficients", coeffs.table)
+    shat = np.zeros(table.n, dtype=complex)
     for cell, vhat in coeffs.spectral.items():
-        if cell not in t.cells:
+        entry = table.cells.get(cell)
+        if entry is None:
             raise ConstraintError("coefficients reference a cell absent from the tiling")
-        mask, hat = _cell_mask_and_transform(w, cell, xi)
-        shat[mask] += cell.length * vhat[mask] * hat[mask] / math.sqrt(cell.length)
-    return from_spectrum(grid, shat)
+        index, hat = entry
+        shat[index] += cell.length * vhat[index] * hat / math.sqrt(cell.length)
+    return from_spectrum(table.grid, shat)
 
 
 def random_band_limited(rng, grid, xi_band, n_modes=None):
@@ -170,9 +199,9 @@ def random_band_limited(rng, grid, xi_band, n_modes=None):
     return from_spectrum(grid, fhat)
 
 
-def round_trip_error(w, t, sig):
+def round_trip_error(table, sig):
     """Relative L^2 reconstruction error of synthesis(analysis(f))."""
-    rec = synthesis(w, t, analysis(w, t, sig))
+    rec = synthesis(table, analysis(table, sig))
     err = sig.copy_with(rec.values - sig.values)
     denom = sig.norm()
     return err.norm() / denom if denom > 0 else err.norm()

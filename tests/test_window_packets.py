@@ -11,10 +11,14 @@ from oscsurf.errors import (
     WindowConstructionError,
 )
 from oscsurf.geometry import gauss_legendre
+from oscsurf import window
+from oscsurf.selftest import check_reconstruction
 from oscsurf.tiling import build_tiling, locate
 from oscsurf.wavepackets import (
+    SampledSignal,
     WavePacket,
     analysis,
+    cell_table,
     derivative_bound_probe,
     from_spectrum,
     frequencies,
@@ -164,24 +168,119 @@ def test_derivative_probe_support_scaling(w):
 
 # -- analysis / synthesis ------------------------------------------------------
 
-def test_analysis_zero_signal(w, t10):
+@pytest.fixture(scope="module")
+def table10(w, t10):
+    return cell_table(w, t10, signal_grid(40.0))
+
+
+# the per-cell loop that analysis and synthesis ran before the cell table:
+# the window transform recomputed for every signal, in each direction
+
+def _reference_mask_and_transform(w, cell, xi):
+    mask = (xi >= cell.lo) & (xi < cell.hi)
+    hat = np.zeros_like(xi)
+    if np.any(mask):
+        hat[mask] = w.phi_hat((xi[mask] - cell.center) / cell.length)
+    return mask, hat
+
+
+def _reference_analysis(w, t, sig, band_tol=1e-7):
+    xi, fhat = spectrum(sig)
+    total = float(np.sum(np.abs(fhat) ** 2))
+    lo, hi = min(q.lo for q in t.cells), max(q.hi for q in t.cells)
+    covered = (xi >= lo) & (xi < hi)
+    out_of_band = float(np.sum(np.abs(fhat[~covered]) ** 2))
+    if total > 0 and out_of_band > band_tol**2 * total:
+        raise BandLimitError("out of band")
+    spectral = {}
+    for cell in t.cells:
+        mask, hat = _reference_mask_and_transform(w, cell, xi)
+        if float(np.sum(np.abs(fhat[mask]) ** 2)) <= 1e-28 * total:
+            continue
+        vhat = np.zeros_like(fhat)
+        vhat[mask] = fhat[mask] / (math.sqrt(cell.length) * hat[mask])
+        spectral[cell] = vhat
+    return spectral
+
+
+def _reference_synthesis(w, grid, spectral):
+    xi = frequencies(grid)
+    shat = np.zeros(grid.n, dtype=complex)
+    for cell, vhat in spectral.items():
+        mask, hat = _reference_mask_and_transform(w, cell, xi)
+        shat[mask] += cell.length * vhat[mask] * hat[mask] / math.sqrt(cell.length)
+    return from_spectrum(grid, shat)
+
+
+def _single_cell_signal(grid, cell):
+    xi = frequencies(grid)
+    fhat = np.zeros(grid.n, dtype=complex)
+    fhat[(xi >= cell.lo + 0.5) & (xi <= cell.hi - 0.5)] = 1.0 + 0.5j
+    return from_spectrum(grid, fhat)
+
+
+@pytest.mark.parametrize("lam, xi_max", [(10.0, 40.0), (100.0, 200.0)])
+def test_cell_table_matches_the_per_cell_loop(w, lam, xi_max):
+    """Coefficients and reconstructed values equal the per-cell loop's bit
+    for bit, for the zero signal, a single-cell signal and random
+    band-limited signals; both reject an out-of-band signal."""
+    t = build_tiling(lam, xi_max)
+    grid = signal_grid(xi_max)
+    table = cell_table(w, t, grid)
+    rng = np.random.default_rng(11)
+    signals = [grid, _single_cell_signal(grid, t.cells[len(t.cells) // 2])]
+    signals += [random_band_limited(rng, grid, 0.8 * xi_max) for _ in range(4)]
+    for f in signals:
+        want = _reference_analysis(w, t, f)
+        coeffs = analysis(table, f)
+        assert list(coeffs.spectral) == list(want)
+        for cell, vhat in want.items():
+            assert np.array_equal(coeffs.spectral[cell], vhat)
+        got = synthesis(table, coeffs).values
+        assert np.array_equal(got, _reference_synthesis(w, grid, want).values)
+
+    xi = frequencies(grid)
+    fhat = np.zeros(grid.n, dtype=complex)
+    fhat[np.abs(xi) > 1.5 * xi_max] = 1.0  # energy beyond the cover
+    f = from_spectrum(grid, fhat)
+    with pytest.raises(BandLimitError):
+        _reference_analysis(w, t, f)
+    with pytest.raises(BandLimitError):
+        analysis(table, f)
+
+
+def test_window_transform_once_per_grid(w, monkeypatch):
+    """The reconstruction check computes the window transform once per
+    (tiling, grid), however many signals share it."""
+    calls = []
+    transform = window._bump_transform
+
+    def counted(u):
+        calls.append(np.size(u))
+        return transform(u)
+
+    monkeypatch.setattr(window, "_bump_transform", counted)
+    counts = []
+    for n in (1, 5):
+        calls.clear()
+        assert check_reconstruction(n_signals=n, w=w).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_analysis_zero_signal(table10):
     grid = signal_grid(40.0)
-    coeffs = analysis(w, t10, grid)
+    coeffs = analysis(table10, grid)
     assert coeffs.spectral == {}
     assert coeffs.norm_squared() == 0.0
-    rec = synthesis(w, t10, coeffs)
+    rec = synthesis(table10, coeffs)
     assert np.all(rec.values == 0.0)
 
 
-def test_analysis_single_cell_support(w, t10):
-    grid = signal_grid(40.0)
-    xi = frequencies(grid)
-    fhat = np.zeros(grid.n, dtype=complex)
+def test_analysis_single_cell_support(t10, table10):
     target = [q for q in t10.cells if (q.lo, q.hi) == (9, 16)][0]
-    inside = (xi >= target.lo + 0.5) & (xi <= target.hi - 0.5)
-    fhat[inside] = 1.0 + 0.5j
-    f = from_spectrum(grid, fhat)
-    coeffs = analysis(w, t10, f)
+    f = _single_cell_signal(signal_grid(40.0), target)
+    coeffs = analysis(table10, f)
     assert set(coeffs.spectral) == {target}
     # V f vanishes for xi in other cells and on boundaries
     assert locate(t10, 5.0) not in coeffs.spectral
@@ -190,35 +289,35 @@ def test_analysis_single_cell_support(w, t10):
     assert np.any(coeffs.spectral[target] != 0.0)
 
 
-def test_analysis_energy_bound(w, t10):
+def test_analysis_energy_bound(w, table10):
     rng = np.random.default_rng(6)
     grid = signal_grid(40.0)
     bound = 1.0 / w.fourier_floor + 1e-6
     for _ in range(10):
         f = random_band_limited(rng, grid, 30.0)
-        coeffs = analysis(w, t10, f)
+        coeffs = analysis(table10, f)
         assert coeffs.norm_squared() <= bound * f.norm() ** 2
 
 
-def test_band_limit_violation(w, t10):
+def test_band_limit_violation(table10):
     grid = signal_grid(40.0)
     xi = frequencies(grid)
     fhat = np.zeros(grid.n, dtype=complex)
     fhat[np.abs(xi) > 60.0] = 1.0  # energy beyond the cover
     f = from_spectrum(grid, fhat)
     with pytest.raises(BandLimitError):
-        analysis(w, t10, f)
+        analysis(table10, f)
 
 
 def test_round_trip_random_signals(w):
     rng = np.random.default_rng(7)
     for lam in (1.0, 10.0, 100.0):
         xi_max = max(2 * lam, 30.0)
-        t = build_tiling(lam, xi_max)
         grid = signal_grid(xi_max)
+        table = cell_table(w, build_tiling(lam, xi_max), grid)
         for _ in range(5):
             f = random_band_limited(rng, grid, 0.8 * xi_max)
-            assert round_trip_error(w, t, f) <= 1e-6
+            assert round_trip_error(table, f) <= 1e-6
 
 
 def test_round_trip_single_packet(w):
@@ -227,16 +326,29 @@ def test_round_trip_single_packet(w):
     grid = signal_grid(200.0)
     pk = packet_for(w, t, 4.5)
     f = grid.copy_with(pk(grid.grid))
-    assert round_trip_error(w, t, f) <= 1e-6
+    assert round_trip_error(cell_table(w, t, grid), f) <= 1e-6
 
 
-def test_synthesis_cell_mismatch(w, t10):
+def test_synthesis_cell_mismatch(w, table10):
     grid = signal_grid(40.0)
     f = random_band_limited(np.random.default_rng(8), grid, 8.0)
-    coeffs = analysis(w, t10, f)
+    coeffs = analysis(table10, f)
     other = build_tiling(17.0, 40.0)  # n0 = 4: different central cells
     with pytest.raises(ConstraintError):
-        synthesis(w, other, coeffs)
+        synthesis(cell_table(w, other, grid), coeffs)
+
+
+def test_table_on_another_grid_is_rejected(w, t10, table10):
+    grid = signal_grid(40.0)
+    f = random_band_limited(np.random.default_rng(8), grid, 8.0)
+    coeffs = analysis(table10, f)
+    wider = cell_table(w, t10, signal_grid(80.0))  # twice the samples
+    shifted = cell_table(w, t10, SampledSignal(0.0, grid.dx, grid.values))
+    for table in (wider, shifted):
+        with pytest.raises(ConstraintError):
+            analysis(table, f)
+        with pytest.raises(ConstraintError):
+            synthesis(table, coeffs)
 
 
 def test_spectrum_inverse_consistency():
