@@ -8,7 +8,9 @@ exact on the discrete spectrum up to rounding.
 The analysis coefficients V f(y, xi) are constant in xi on each cell interior
 by construction and are stored per cell; boundary frequencies map to zero.
 The xi integral in synthesis is therefore exact and contributes the factor
-|Q| per cell.
+|Q| per cell.  The window transform on each cell depends only on the
+window, the tiling and the grid; a CellTable holds it, and analysis and
+synthesis of every signal on that grid read it.
 """
 
 from __future__ import annotations

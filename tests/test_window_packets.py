@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oscsurf import window
 from oscsurf.errors import (
     BandLimitError,
     BoundaryFrequencyError,
@@ -11,7 +12,6 @@ from oscsurf.errors import (
     WindowConstructionError,
 )
 from oscsurf.geometry import gauss_legendre
-from oscsurf import window
 from oscsurf.selftest import check_reconstruction
 from oscsurf.tiling import build_tiling, locate
 from oscsurf.wavepackets import (
