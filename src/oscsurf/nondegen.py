@@ -132,17 +132,58 @@ def box_grid(inst, density):
     return _grid_points(inst.dim, inst.b1, density)
 
 
-_CERTIFY_ROWS = 256  # x points per block of the certificate scan
+def _form_basis(d, omega):
+    """The determinant as a binary form of degree d-1 in omega = (tt, t):
+    its d nodes (d-1-k, k), pairwise independent, exact in binary and (1,
+    0), (0, 1) for d = 2, and its homogeneous Lagrange basis on omega,
+    basis[k] = ell_k(tt, t) = prod_{i != k} (t c_i - tt s_i) / (s_k c_i -
+    c_k s_i), so that det(omega) = sum_k det(node_k) basis[k]."""
+    nodes = np.stack([d - 1 - np.arange(d), np.arange(d)], axis=-1).astype(float)
+    c, s = nodes[:, 0], nodes[:, 1]
+    tt, tau = omega[:, 0], omega[:, 1]
+    basis = np.ones((d, len(omega)))
+    for k in range(d):
+        for i in range(d):
+            if i != k:
+                basis[k] *= (tau * c[i] - tt * s[i]) / (s[k] * c[i] - c[k] * s[i])
+    return nodes, basis
+
+
+def _node_dets(inst, p, pts, nodes):
+    """The determinant at each point of pts (n, 2d) and each node: (n, d)."""
+    return np.linalg.det(bordered_matrix(inst, p, pts[:, None, :],
+                                         nodes[:, 0], nodes[:, 1]))
+
+
+def _scan(inst, parts, x_grid, circle_pts):
+    """Per (x, omega) sample, the largest |det| over parts and the index of
+    the partition that gives it: arrays of shape (len(x_grid),
+    len(circle_pts))."""
+    nodes, basis = _form_basis(inst.d, circle_pts)
+    best = np.full((len(x_grid), len(circle_pts)), -np.inf)
+    best_part = np.zeros(best.shape, dtype=np.int32)
+    for k, p in enumerate(parts):
+        dets = np.abs(_node_dets(inst, p, x_grid, nodes) @ basis)
+        better = dets > best
+        best_part[better] = k
+        best[better] = dets[better]
+    return best, best_part
 
 
 def certify(inst, x_grid, circle_grid_pts, threshold=1e-10, lipschitz_padding=False):
     """Scan the box grid and circle grid; report the certified floor.
 
     Deterministic given the grids: for each (x, omega) sample the maximum of
-    |det| over all partitions is recorded (ties broken by lexicographically
-    smallest i-block, which the enumeration order provides), and c_lower is
-    the minimum over samples.  With lipschitz_padding the report's floor is
-    reduced by grid_spacing * (estimated gradient bound of the determinant).
+    |det| over all partitions is recorded, and c_lower is the minimum over
+    samples.  The determinant is a binary form of degree d-1 in omega =
+    (tt, t), so each partition's determinant is computed at d fixed
+    directions per x and carried to every circle direction by its Lagrange
+    basis; the values agree with a determinant taken at each omega to a few
+    ulps.  An exact tie between partitions goes to the lexicographically
+    smallest i-block (the enumeration order), but I and its complement tie
+    in exact arithmetic, and rounding decides which of the two is
+    recorded.  With lipschitz_padding the report's floor is reduced by
+    grid_spacing * (estimated gradient bound of the determinant).
     """
     x_grid = np.asarray(x_grid, dtype=float)
     circle_grid_pts = np.asarray(circle_grid_pts, dtype=float)
@@ -150,21 +191,7 @@ def certify(inst, x_grid, circle_grid_pts, threshold=1e-10, lipschitz_padding=Fa
         raise ConstraintError("empty certification grid")
     parts = all_partitions(inst.d)
     nx, nw = len(x_grid), len(circle_grid_pts)
-
-    best = np.full((nx, nw), -np.inf)
-    best_part = np.zeros((nx, nw), dtype=np.int32)
-    tt = circle_grid_pts[None, :, 0]
-    tau = circle_grid_pts[None, :, 1]
-    # one block of x rows at a time: a row's matrices and determinants do
-    # not depend on the other rows, and the block's matrices stay small
-    for i in range(0, nx, _CERTIFY_ROWS):
-        rows = slice(i, i + _CERTIFY_ROWS)
-        for k, p in enumerate(parts):
-            mats = bordered_matrix(inst, p, x_grid[rows, None, :], tt, tau)
-            dets = np.abs(np.linalg.det(mats))
-            better = dets > best[rows]
-            best_part[rows][better] = k
-            best[rows][better] = dets[better]
+    best, best_part = _scan(inst, parts, x_grid, circle_grid_pts)
 
     flat = best.reshape(-1)
     imin = int(flat.argmin())
@@ -195,21 +222,24 @@ def certify(inst, x_grid, circle_grid_pts, threshold=1e-10, lipschitz_padding=Fa
 
 
 def _det_gradient_estimate(inst, parts, x_grid, circle_pts, n_probe=64):
+    """Central-difference bound on |d det / d x_j| over n_probe seeded grid
+    points, every partition, every axis j and every direction of
+    circle_pts (the differences are taken at the form's nodes)."""
     rng = np.random.default_rng(0)
     sel = rng.choice(len(x_grid), size=min(n_probe, len(x_grid)), replace=False)
     pts = x_grid[sel]
     h = 1e-5
+    nodes, basis = _form_basis(inst.d, circle_pts)
     bound = 0.0
-    w = circle_pts[0]
     for p in parts:
         for j in range(inst.dim):
             up = pts.copy()
             up[:, j] += h
             dn = pts.copy()
             dn[:, j] -= h
-            dets_up = np.linalg.det(bordered_matrix(inst, p, up, w[0], w[1]))
-            dets_dn = np.linalg.det(bordered_matrix(inst, p, dn, w[0], w[1]))
-            bound = max(bound, float(np.abs(dets_up - dets_dn).max()) / (2 * h))
+            diff = (_node_dets(inst, p, up, nodes)
+                    - _node_dets(inst, p, dn, nodes)) @ basis
+            bound = max(bound, float(np.abs(diff).max()) / (2 * h))
     return bound
 
 

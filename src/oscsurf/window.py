@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -132,17 +132,31 @@ def _bump_transform_rows(u):
 
 @dataclass(eq=False)
 class Window:
-    """The analysis window: samples, transform, and evaluation helpers."""
+    """The analysis window: transform samples, and the time-domain samples,
+    spline and norm, which are computed on first use (the transform checks
+    never read them)."""
 
     support_half_width: float
     grid: np.ndarray
-    samples: np.ndarray
     hat_grid: np.ndarray
     hat_samples: np.ndarray
     fourier_floor: float
     scale: float
-    l2_norm: float
-    _spline: object = field(default=None, repr=False)
+
+    @functools.cached_property
+    def samples(self):
+        """The window on grid, by quadrature of g * g."""
+        return self.scale * _autocorr_deriv(0, self.grid)
+
+    @functools.cached_property
+    def _spline(self):
+        return CubicSpline(self.grid, self.samples, bc_type="natural")
+
+    @functools.cached_property
+    def l2_norm(self):
+        nodes, wts = gauss_legendre(400, -1.0, 1.0)
+        return math.sqrt(SUPPORT_HALF * float(
+            np.sum(self._spline(SUPPORT_HALF * nodes) ** 2 * wts)))
 
     def _on_support(self, x, fn):
         """fn on the points inside the open support, exact zeros elsewhere."""
@@ -195,21 +209,11 @@ def make_window(profile="autocorr-bump", grid=2**14):
     scale = 1.0 / floor_raw
     hat_samples = scale * hat_raw
 
-    xgrid = np.linspace(-SUPPORT_HALF, SUPPORT_HALF, int(grid) + 1)
-    samples = scale * _autocorr_deriv(0, xgrid)
-    spline = CubicSpline(xgrid, samples, bc_type="natural")
-    nodes, wts = gauss_legendre(400, -1.0, 1.0)
-    l2 = math.sqrt(SUPPORT_HALF * float(np.sum(spline(SUPPORT_HALF * nodes) ** 2 * wts)))
-
-    w = Window(
+    return Window(
         support_half_width=SUPPORT_HALF,
-        grid=xgrid,
-        samples=samples,
+        grid=np.linspace(-SUPPORT_HALF, SUPPORT_HALF, int(grid) + 1),
         hat_grid=ugrid,
         hat_samples=hat_samples,
         fourier_floor=float(hat_samples.min()),
         scale=scale,
-        l2_norm=l2,
     )
-    w._spline = spline
-    return w

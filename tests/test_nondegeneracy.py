@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from oscsurf.errors import ConstraintError
+from oscsurf.fields import PolynomialField
 from oscsurf.instance import make_instance
 from oscsurf.nondegen import (
     Partition,
     _det_gradient_estimate,
+    _scan,
     all_partitions,
     bordered_matrix,
     box_grid,
@@ -123,10 +125,29 @@ def test_certify_lipschitz_padding_lowers_the_floor(paper, density):
             == certify(paper, center, circle).c_lower)
 
 
+def _cubic_perturbation(eps):
+    """paper-even-d2 with rho + eps q and Phi + eps p, q = x4^3 + x1^2 x4 +
+    x2 x3 x4 and p = x1^3 + x3^2 x4 + x1 x2 x3: a perturbation that is not
+    affine along the axes."""
+    base = make_instance("paper-even-d2", b0=0.3, b1=0.5)
+
+    def plus(terms, extra):
+        out = dict(terms)
+        for expo, coeff in extra.items():
+            out[expo] = out.get(expo, 0.0) + eps * coeff
+        return PolynomialField(4, out, half_widths=0.5)
+
+    rho = plus(base.rho.terms, {(0, 0, 0, 3): 1.0, (2, 0, 0, 1): 1.0,
+                                (0, 1, 1, 1): 1.0})
+    phi = plus(base.phi.terms, {(3, 0, 0, 0): 1.0, (0, 0, 2, 1): 1.0,
+                                (1, 1, 1, 0): 1.0})
+    return make_instance("custom", b0=0.3, b1=0.5, rho=rho, phi=phi)
+
+
 def _scan_one_shot(inst, x_grid, circle):
-    """certify's scan before it ran in blocks of x rows: each partition's
-    matrices over the whole grid at once.  Returns the best |det| and the
-    best partition per (x, omega) sample."""
+    """The per-(x, omega) scan: each partition's determinant at every
+    sample of the grid, one matrix per sample.  Returns the best |det| and
+    the best partition per (x, omega) sample."""
     best = np.full((len(x_grid), len(circle)), -np.inf)
     best_part = np.zeros(best.shape, dtype=np.int32)
     for k, p in enumerate(all_partitions(inst.d)):
@@ -139,23 +160,86 @@ def _scan_one_shot(inst, x_grid, circle):
     return best, best_part
 
 
-def test_certify_in_row_blocks_matches_one_shot_scan(paper):
-    grid, circle = box_grid(paper, 9), circle_grid(64)
-    assert len(grid) % 256 != 0  # a partial last block
-    best, best_part = _scan_one_shot(paper, grid, circle)
-    # a threshold that fails the 1000 smallest samples, spread over the grid
-    threshold = np.sort(best, axis=None)[1000]
-    rep = certify(paper, grid, circle, threshold=threshold)
-    fails = np.argwhere(best < threshold)
-    assert 0 < len(fails) <= 1000
-    assert rep.failures == [{"x": grid[i].tolist(), "omega": circle[j].tolist(),
-                             "max_abs_det": float(best[i, j])}
-                            for i, j in fails]
-    ix, iw = np.unravel_index(best.argmin(), best.shape)
-    assert rep.c_lower == best[ix, iw]
-    assert rep.witness == {"x": grid[ix].tolist(), "omega": circle[iw].tolist(),
-                           "partition": rep.partitions[best_part[ix, iw]],
-                           "abs_det": float(best[ix, iw])}
+# certify carries d determinants per point to the circle through the
+# form's Lagrange basis (at most sqrt(2) in sum for d = 2 and 3 for d = 3);
+# on these instances |det| <= 4, so a few tens of ulps bound the difference
+AGREE_ABS = 1e-14
+
+
+@pytest.mark.parametrize("name, density", [
+    ("paper-even-d2", 9), ("paper-odd-d3", 3), (0.1, 9), (0.3, 9)])
+def test_certify_agrees_with_the_per_direction_scan(name, density):
+    inst = (_cubic_perturbation(name) if isinstance(name, float)
+            else make_instance(name, b0=0.3, b1=0.5))
+    grid, circle = box_grid(inst, density), circle_grid(64)
+    best, _ = _scan_one_shot(inst, grid, circle)
+    scanned = _scan(inst, all_partitions(inst.d), grid, circle)[0]
+    assert np.abs(scanned - best).max() <= AGREE_ABS
+    # a threshold in the first gap of the reference values wider than
+    # 2 * AGREE_ABS above the 100 smallest: both scans fail the same set
+    ranked = np.sort(best, axis=None)
+    gaps = np.flatnonzero(np.diff(ranked) > 2 * AGREE_ABS) + 1
+    n_fail = int(gaps[gaps >= 100][0])
+    threshold = 0.5 * (ranked[n_fail - 1] + ranked[n_fail])
+    assert np.array_equal(scanned < threshold, best < threshold)
+    rep = certify(inst, grid, circle, threshold=threshold)
+    failed = np.argwhere(best < threshold)
+    assert len(failed) == n_fail
+    assert len(rep.failures) == min(n_fail, 1000)
+    for f, (i, j) in zip(rep.failures, failed):
+        assert f["x"] == grid[i].tolist() and f["omega"] == circle[j].tolist()
+        assert abs(f["max_abs_det"] - best[i, j]) <= AGREE_ABS
+    assert abs(rep.c_lower - best.min()) <= AGREE_ABS
+    ix = int(np.flatnonzero((grid == rep.witness["x"]).all(axis=1))[0])
+    iw = int(np.flatnonzero((circle == rep.witness["omega"]).all(axis=1))[0])
+    assert best[ix, iw] <= best.min() + AGREE_ABS
+    assert abs(rep.witness["abs_det"] - best[ix, iw]) <= AGREE_ABS
+
+
+def test_certify_takes_d_determinants_per_point_and_partition(paper, monkeypatch):
+    # the form's d nodes per x, not one matrix per (x, omega) sample
+    import oscsurf.nondegen as nd
+    original, rows = nd.bordered_matrix, []
+
+    def counted(inst, p, pts, tt, tau):
+        mat = original(inst, p, pts, tt, tau)
+        rows.append(int(np.prod(mat.shape[:-2])))
+        return mat
+
+    monkeypatch.setattr(nd, "bordered_matrix", counted)
+    grid = box_grid(paper, 9)
+    nd.certify(paper, grid, circle_grid(64))
+    assert rows == [paper.d * len(grid)] * len(all_partitions(paper.d))
+
+
+def _gradient_at_direction(inst, parts, x_grid, w, n_probe=64):
+    """The padding's central-difference gradient bound with omega fixed at
+    w, one determinant per probe point and direction."""
+    rng = np.random.default_rng(0)
+    sel = rng.choice(len(x_grid), size=min(n_probe, len(x_grid)), replace=False)
+    pts, h, bound = x_grid[sel], 1e-5, 0.0
+    for p in parts:
+        for j in range(inst.dim):
+            up, dn = pts.copy(), pts.copy()
+            up[:, j] += h
+            dn[:, j] -= h
+            diff = (np.linalg.det(bordered_matrix(inst, p, up, w[0], w[1]))
+                    - np.linalg.det(bordered_matrix(inst, p, dn, w[0], w[1])))
+            bound = max(bound, float(np.abs(diff).max()) / (2 * h))
+    return bound
+
+
+def test_lipschitz_bound_covers_every_circle_direction():
+    # the gradient peaks away from the circle grid's first direction: a
+    # probe at (1, 0) alone reads 2.19 here, against 2.48 over the grid
+    inst = _cubic_perturbation(0.3)
+    grid, circle = box_grid(inst, 5), circle_grid(64)
+    parts = all_partitions(inst.d)
+    per_direction = [_gradient_at_direction(inst, parts, grid, w) for w in circle]
+    assert max(per_direction) > 1.1 * per_direction[0]
+    # the two differences round apart by about eps * |det| / h
+    bound = _det_gradient_estimate(inst, parts, grid, circle)
+    assert bound >= max(per_direction) * (1.0 - 1e-9)
 
 
 def test_certify_memory_is_bounded(paper, peak_mb):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oscsurf import window
+from oscsurf.cli import main
 from oscsurf.errors import (
     BandLimitError,
     BoundaryFrequencyError,
@@ -266,6 +267,23 @@ def test_window_transform_once_per_grid(w, monkeypatch):
         assert check_reconstruction(n_signals=n, w=w).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_reconstruct_never_builds_the_time_domain_window(tmp_path, monkeypatch):
+    """oscsurf reconstruct reads only the transform half of the window;
+    oscsurf window, which writes the samples, computes them."""
+    calls = []
+    autocorr = window._autocorr_deriv
+
+    def counted(k, x):
+        calls.append(k)
+        return autocorr(k, x)
+
+    monkeypatch.setattr(window, "_autocorr_deriv", counted)
+    assert main(["reconstruct", "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    assert calls == []
+    assert main(["window", "--out", str(tmp_path / "w"), "--quiet"]) == 0
+    assert calls == [0]
 
 
 def test_analysis_zero_signal(table10):
