@@ -163,10 +163,11 @@ def _scan(inst, parts, x_grid, circle_pts):
     best = np.full((len(x_grid), len(circle_pts)), -np.inf)
     best_part = np.zeros(best.shape, dtype=np.int32)
     for k, p in enumerate(parts):
-        dets = np.abs(_node_dets(inst, p, x_grid, nodes) @ basis)
+        dets = _node_dets(inst, p, x_grid, nodes) @ basis
+        np.abs(dets, out=dets)  # in place, as copyto below: no second table
         better = dets > best
         best_part[better] = k
-        best[better] = dets[better]
+        np.copyto(best, dets, where=better)
     return best, best_part
 
 

@@ -161,8 +161,9 @@ def _scan_one_shot(inst, x_grid, circle):
 
 
 # certify carries d determinants per point to the circle through the
-# form's Lagrange basis (at most sqrt(2) in sum for d = 2 and 3 for d = 3);
-# on these instances |det| <= 4, so a few tens of ulps bound the difference
+# form's Lagrange basis, which scales their rounding by at most sqrt(2)
+# (d = 2) or 3 (d = 3) against |det| at a unit direction; |det| is O(1)
+# on these instances, and 1e-14 is 45 ulps of 1
 AGREE_ABS = 1e-14
 
 
