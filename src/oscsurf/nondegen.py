@@ -133,11 +133,14 @@ def box_grid(inst, density):
 
 
 def _form_basis(d, omega):
-    """The determinant as a binary form of degree d-1 in omega = (tt, t):
-    its d nodes (d-1-k, k), pairwise independent, exact in binary and (1,
-    0), (0, 1) for d = 2, and its homogeneous Lagrange basis on omega,
-    basis[k] = ell_k(tt, t) = prod_{i != k} (t c_i - tt s_i) / (s_k c_i -
-    c_k s_i), so that det(omega) = sum_k det(node_k) basis[k]."""
+    """The determinant as a binary form of degree d-1 in omega = (tt, t).
+
+    nodes holds the d directions (c_k, s_k) = (d-1-k, k): pairwise
+    independent, exact in binary, and (1, 0), (0, 1) for d = 2.  basis[k]
+    is the homogeneous Lagrange basis on omega,
+    ell_k(tt, t) = prod_{i != k} (t c_i - tt s_i) / (s_k c_i - c_k s_i),
+    so that det(omega) = sum_k det(nodes[k]) basis[k].
+    """
     nodes = np.stack([d - 1 - np.arange(d), np.arange(d)], axis=-1).astype(float)
     c, s = nodes[:, 0], nodes[:, 1]
     tt, tau = omega[:, 0], omega[:, 1]
