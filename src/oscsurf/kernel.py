@@ -9,9 +9,9 @@ Quadrature runs over a graph chart, restricted to the intersection of the
 factor supports with the amplitude box.  For d = 2 the chart is 3-dimensional
 and takes a tensor Gauss-Legendre rule with per-axis node counts scaled to the
 phase variation (oscillation-resolved), checked against a refined rule; d = 3
-falls back to scrambled low-discrepancy blocks checked across two seeds.
+takes a replicated scrambled Sobol rule whose standard error sets its size.
 Either way the slice points are lifted to M by geometry.chart_on_surface, and
-one agreement check compares the two estimates.
+one agreement rule judges the spread of the estimates.
 
 The extremizer family realizes the sharpness lower bound: modulated
 indicators of width ~ lam^(-1/2), with the last axis widened by the graph
@@ -228,8 +228,8 @@ class QuadPolicy:
     refine_factor: float = 1.5
     agree_tol: float = 0.05
     check: bool = True
-    qmc_log2_nodes: int = 20          # per seed, for charts of dimension > 3
-    qmc_seeds: tuple = (24036, 71193)  # two scrambles for the agreement check
+    qmc_log2_nodes: int = 17          # per scramble, for charts of dimension > 3
+    qmc_seeds: tuple = (24036, 71193)  # entropy the scrambles' seeds come from
 
 
 DEFAULT_QUAD = QuadPolicy()
@@ -309,24 +309,69 @@ def _chart_values(inst, chart, lam, factors):
                       chart.line_values if chart.slice_nodes else None)
 
 
-def _qmc_value(inst, factors, lam, j0, boxes, quad, seed):
-    """One scrambled low-discrepancy estimate over the slice box."""
+_QMC_SCRAMBLES = 4  # independent Sobol scrambles of the d = 3 rule
+_QMC_DOUBLINGS = 3  # most times the d = 3 rule doubles every scramble
+
+
+def _sobol_levels(inst, factors, lam, j0, boxes, quad, seeds):
+    """Per-scramble Sobol estimates of the slice integral, one scramble per
+    seed, at 2^m, 2^(m+1), ... points each (m = quad.qmc_log2_nodes).
+
+    Yields (estimates, points per scramble) per level.  Each level draws the
+    next points of every scramble's own sequence, so a level reuses the
+    points of the ones before it, and lifts them a block of at most
+    BLOCK_NODES points at a time.
+    """
     from scipy.stats import qmc
 
     lo = np.array([b[0] for b in boxes])
     hi = np.array([b[1] for b in boxes])
     vol = float(np.prod(hi - lo))
-    n = 2 ** quad.qmc_log2_nodes
-    sampler = qmc.Sobol(d=inst.dim - 1, scramble=True, seed=seed)
-    total = 0.0 + 0.0j
-    done = 0
-    while done < n:
-        block = min(n - done, BLOCK_NODES)
-        slice_pts = lo + sampler.random(block) * (hi - lo)
-        chart = chart_on_surface(inst, j0, slice_pts, np.ones(block))
-        total += chart.integrate(_chart_values(inst, chart, lam, factors))
-        done += block
-    return total * vol / n, n
+    samplers = [qmc.Sobol(d=inst.dim - 1, scramble=True, seed=int(s))
+                for s in seeds]
+    sums = np.zeros(len(samplers), dtype=complex)
+    n, new = 0, 2 ** quad.qmc_log2_nodes
+    while True:
+        for r, sampler in enumerate(samplers):
+            for start in range(0, new, BLOCK_NODES):
+                block = min(new - start, BLOCK_NODES)
+                slice_pts = lo + sampler.random(block) * (hi - lo)
+                chart = chart_on_surface(inst, j0, slice_pts, np.ones(block))
+                sums[r] += chart.integrate(
+                    _chart_values(inst, chart, lam, factors))
+        n += new
+        new = n
+        yield sums * (vol / n), n
+
+
+def _qmc_value(inst, factors, lam, j0, boxes, quad):
+    """The replicated scrambled Sobol rule, as (value, info).
+
+    _QMC_SCRAMBLES scrambles, seeded from quad.qmc_seeds, start at
+    2^quad.qmc_log2_nodes points each; the value is the mean of their
+    estimates and the standard error their spread, std / sqrt(scrambles).
+    While the relative mismatch 2 SE / |value| is above quad.agree_tol (and
+    |value| >= 1e-14) every scramble doubles, at most _QMC_DOUBLINGS times;
+    past that the rule ends unconverged.  info holds "n_nodes" (over all
+    scrambles), "mismatch", "converged" and "standard_error".  With
+    quad.check off one scramble (the first seed) runs once and info holds
+    "n_nodes" alone.
+    """
+    seeds = np.random.SeedSequence(quad.qmc_seeds).generate_state(
+        _QMC_SCRAMBLES)
+    if not quad.check:
+        est, n = next(_sobol_levels(inst, factors, lam, j0, boxes, quad,
+                                    seeds[:1]))
+        return complex(est[0]), {"n_nodes": n}
+    levels = _sobol_levels(inst, factors, lam, j0, boxes, quad, seeds)
+    for doublings, (est, n) in enumerate(levels):
+        value = complex(est.mean())
+        se = float(np.std(est, ddof=1)) / math.sqrt(_QMC_SCRAMBLES)
+        mismatch, converged = _agreement(2.0 * se, value, quad)
+        if converged or doublings == _QMC_DOUBLINGS:
+            return value, {"n_nodes": _QMC_SCRAMBLES * n,
+                           "mismatch": mismatch, "converged": converged,
+                           "standard_error": se}
 
 
 def _tensor_value(inst, factors, lam, j0, boxes, quad, scale):
@@ -339,27 +384,21 @@ def _tensor_value(inst, factors, lam, j0, boxes, quad, scale):
         lambda chart: _chart_values(inst, chart, lam, factors))
 
 
-def _estimate(inst, factors, lam, j0, boxes, quad, second):
-    """Estimate 0 or 1 of the slice integral, as (value, nodes): a Sobol
-    scramble (quad.qmc_seeds[second]) for charts of dimension above three,
-    else the tensor rule, refined by quad.refine_factor for estimate 1."""
-    if inst.dim - 1 > 3:
-        return _qmc_value(inst, factors, lam, j0, boxes, quad,
-                          quad.qmc_seeds[second])
-    return _tensor_value(inst, factors, lam, j0, boxes, quad,
-                         quad.refine_factor if second else 1.0)
-
-
 def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
     """Surface-quadrature value of the multilinear functional at frequency lam.
 
     The frequency must satisfy the box constraint |lam|^(-1/2) <= min(b1-b0, 1).
     Charts of dimension up to three use the oscillation-resolved tensor rule
-    with a two-resolution agreement check; higher-dimensional charts (d >= 3)
-    use a scrambled low-discrepancy rule with a two-seed agreement check.
+    with a two-resolution agreement check, and the refined value is kept.
+    Higher-dimensional charts (d >= 3) use the replicated scrambled Sobol
+    rule (_qmc_value), whose standard error is its agreement check.
     Disagreement records converged = False in diagnostics rather than
-    guessing.  With quad.check off, one resolution or one scramble
-    (quad.qmc_seeds[0]) runs and no agreement is recorded.
+    guessing.  With quad.check off one resolution or one scramble runs and
+    no agreement is recorded.
+
+    diagnostics, when given, receives per lam "n_nodes" and, with the check
+    on, "refinement_mismatch" and "converged"; for d >= 3 also
+    "standard_error".
     """
     quad = quad or DEFAULT_QUAD
     inst.require_lambda(lam)
@@ -372,29 +411,29 @@ def eval_I(inst, fam, lam, quad=None, j0=None, diagnostics=None):
     if boxes is None:
         return 0.0 + 0.0j
 
-    # a first estimate a and, unless quad.check is off, a second one b to
-    # compare it with: another Sobol scramble (the mean is kept) or the
-    # refined tensor rule (its value is kept)
-    a, n_used = _estimate(inst, factors, lam, j0, boxes, quad, 0)
-    value = a
-    if quad.check:
-        b, n_b = _estimate(inst, factors, lam, j0, boxes, quad, 1)
-        value, n_used = ((0.5 * (a + b), n_used + n_b) if inst.dim - 1 > 3
-                         else (b, n_b))
-    if diagnostics is not None:
+    if inst.dim - 1 > 3:
+        value, info = _qmc_value(inst, factors, lam, j0, boxes, quad)
+    else:
+        value, n = _tensor_value(inst, factors, lam, j0, boxes, quad, 1.0)
+        info = {"n_nodes": n}
         if quad.check:
-            mismatch, converged = _agreement(a, b, value, quad)
-            diagnostics.setdefault("refinement_mismatch", {})[lam] = mismatch
-            diagnostics.setdefault("converged", {})[lam] = converged
-        diagnostics.setdefault("n_nodes", {})[lam] = n_used
+            finer, n = _tensor_value(inst, factors, lam, j0, boxes, quad,
+                                     quad.refine_factor)
+            mismatch, converged = _agreement(abs(value - finer), finer, quad)
+            value, info = finer, {"n_nodes": n, "mismatch": mismatch,
+                                  "converged": converged}
+    if diagnostics is not None:
+        for key, val in info.items():
+            key = "refinement_mismatch" if key == "mismatch" else key
+            diagnostics.setdefault(key, {})[lam] = val
     return value
 
 
-def _agreement(a, b, value, quad):
-    """The agreement rule for two estimates a and b of value: their
-    relative mismatch, and whether it is within quad.agree_tol (or value
-    is below 1e-14 in size)."""
-    mismatch = abs(a - b) / max(abs(value), 1e-300)
+def _agreement(spread, value, quad):
+    """The agreement rule for estimates of value that spread by spread: the
+    relative mismatch, and whether it is within quad.agree_tol (or value is
+    below 1e-14 in size)."""
+    mismatch = spread / max(abs(value), 1e-300)
     return mismatch, mismatch <= quad.agree_tol or abs(value) < 1e-14
 
 
@@ -483,11 +522,14 @@ def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None, diagnostics=None):
     Where the first pair agrees that is the scale-1 rule.  A step past the
     per-axis node cap ends the ladder unconverged with the finest estimate
     reached (NaN if none fits), and nothing is raised.  For d = 3 it takes
-    eval_I's first estimate, one Sobol scramble, with no agreement check.
+    eval_I's replicated Sobol rule, which doubles its scrambles until their
+    standard error agrees (see _qmc_value).
 
-    diagnostics, when given, receives "n_nodes" (summed over the steps)
-    and, for d = 2, "mismatch" (of the last pair compared; NaN when fewer
-    than two estimates fit) and "converged".
+    diagnostics, when given, receives "n_nodes" (summed over the steps),
+    "mismatch" (for d = 2 of the last pair compared, NaN when fewer than
+    two estimates fit; for d = 3 2 SE / |value|) and "converged"; for d = 3
+    also "standard_error".  A d = 3 kernel with quad.check off runs one
+    scramble and reports "n_nodes" alone.
 
     Exact zero short-circuits: some packet support misses the amplitude box
     (covers y outside the domain), or the surface misses the support box
@@ -501,8 +543,7 @@ def kernel_eval(inst, w, t, y, xi, lam, quad=None, j0=None, diagnostics=None):
     else:
         factors, j0, boxes = setup
         if inst.dim - 1 > 3:
-            value, n = _estimate(inst, factors, lam, j0, boxes, quad, 0)
-            info = {"n_nodes": n}
+            value, info = _qmc_value(inst, factors, lam, j0, boxes, quad)
         else:
             value, info = _tensor_ladder(inst, factors, lam, j0, boxes, quad)
     if diagnostics is not None:
@@ -522,7 +563,7 @@ def _tensor_ladder(inst, factors, lam, j0, boxes, quad):
             break
         n_total += n
         if step > -1:
-            mismatch, converged = _agreement(value, finer, finer, quad)
+            mismatch, converged = _agreement(abs(value - finer), finer, quad)
         value = finer
         if converged:
             break

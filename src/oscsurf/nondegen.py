@@ -52,7 +52,7 @@ def all_partitions(d):
 
     I and its complement appear once each as the i-block; the swap changes
     the determinant only by a structural transpose (same magnitude), which
-    the tests assert rather than assume.
+    the tests assert, and certify scans one of the two.
     """
     idx = range(2 * d)
     out = []
@@ -158,14 +158,20 @@ def _node_dets(inst, p, pts, nodes):
                                          nodes[:, 0], nodes[:, 1]))
 
 
+def _halved(parts):
+    """(index, partition) for the partitions of parts with 0 in the i-block:
+    I and its complement give the same |det|, so the rest adds nothing."""
+    return [(k, p) for k, p in enumerate(parts) if 0 in p.i_set]
+
+
 def _scan(inst, parts, x_grid, circle_pts):
     """Per (x, omega) sample, the largest |det| over parts and the index of
     the partition that gives it: arrays of shape (len(x_grid),
-    len(circle_pts))."""
+    len(circle_pts)).  Only the partitions with 0 in I are taken."""
     nodes, basis = _form_basis(inst.d, circle_pts)
     best = np.full((len(x_grid), len(circle_pts)), -np.inf)
     best_part = np.zeros(best.shape, dtype=np.int32)
-    for k, p in enumerate(parts):
+    for k, p in _halved(parts):
         dets = _node_dets(inst, p, x_grid, nodes) @ basis
         np.abs(dets, out=dets)  # in place, as copyto below: no second table
         better = dets > best
@@ -179,15 +185,16 @@ def certify(inst, x_grid, circle_grid_pts, threshold=1e-10, lipschitz_padding=Fa
 
     Deterministic given the grids: for each (x, omega) sample the maximum of
     |det| over all partitions is recorded, and c_lower is the minimum over
-    samples.  The determinant is a binary form of degree d-1 in omega =
-    (tt, t), so each partition's determinant is computed at d fixed
-    directions per x and carried to every circle direction by its Lagrange
-    basis; the values agree with a determinant taken at each omega to a few
-    ulps.  An exact tie between partitions goes to the lexicographically
-    smallest i-block (the enumeration order), but I and its complement tie
-    in exact arithmetic, and rounding decides which of the two is
-    recorded.  With lipschitz_padding the report's floor is reduced by
-    grid_spacing * (estimated gradient bound of the determinant).
+    samples.  I and its complement give the same |det|, so only the
+    partitions with 0 in I are scanned.  The determinant is a binary form
+    of degree d-1 in omega = (tt, t), so each partition's determinant is
+    computed at d fixed directions per x and carried to every circle
+    direction by its Lagrange basis; the values agree with a determinant
+    taken at each omega to a few ulps.  An exact tie between scanned
+    partitions goes to the lexicographically smallest i-block (the
+    enumeration order).  With lipschitz_padding the report's floor is
+    reduced by grid_spacing * (estimated gradient bound of the
+    determinant).
     """
     x_grid = np.asarray(x_grid, dtype=float)
     circle_grid_pts = np.asarray(circle_grid_pts, dtype=float)
@@ -227,15 +234,16 @@ def certify(inst, x_grid, circle_grid_pts, threshold=1e-10, lipschitz_padding=Fa
 
 def _det_gradient_estimate(inst, parts, x_grid, circle_pts, n_probe=64):
     """Central-difference bound on |d det / d x_j| over n_probe seeded grid
-    points, every partition, every axis j and every direction of
-    circle_pts (the differences are taken at the form's nodes)."""
+    points, every partition (one of I and its complement), every axis j and
+    every direction of circle_pts (the differences are taken at the form's
+    nodes)."""
     rng = np.random.default_rng(0)
     sel = rng.choice(len(x_grid), size=min(n_probe, len(x_grid)), replace=False)
     pts = x_grid[sel]
     h = 1e-5
     nodes, basis = _form_basis(inst.d, circle_pts)
     bound = 0.0
-    for p in parts:
+    for _, p in _halved(parts):
         for j in range(inst.dim):
             up = pts.copy()
             up[:, j] += h

@@ -842,9 +842,11 @@ def test_kernel_probe_rejects_large_order(paper):
         kernel_decay_probe(paper, [], 100.0, N=2 * paper.d + 3)
 
 
-def test_kernel_eval_d3_takes_the_first_sobol_estimate():
-    # a d = 3 packet kernel takes eval_I's first estimate, one scramble,
-    # not a 5-axis tensor chart, which does not fit in memory here
+def test_kernel_eval_d3_runs_the_replicated_sobol_rule():
+    # a d = 3 packet kernel runs eval_I's replicated Sobol rule, not a
+    # 5-axis tensor chart, which does not fit in memory here, and reports
+    # its agreement like the d = 2 ladder: four 2^13-point scrambles of
+    # this packet still spread by more than its size
     inst = make_instance("paper-odd-d3", b0=0.3, b1=0.5)
     w = make_window()
     lam = 100.0
@@ -854,10 +856,16 @@ def test_kernel_eval_d3_takes_the_first_sobol_estimate():
     xi = np.array([63.0, -37.0, 117.0, 47.0, -21.0, 93.0])
     quad = QuadPolicy(qmc_log2_nodes=10)
     factors, j0, boxes = _packet_setup(inst, w, t, y, xi, None)
-    ref = _qmc_value(inst, factors, lam, j0, boxes, quad, quad.qmc_seeds[0])[0]
-    val = kernel_eval(inst, w, t, y, xi, lam, quad=quad)
+    ref, info = _qmc_value(inst, factors, lam, j0, boxes, quad)
+    diag = {}
+    val = kernel_eval(inst, w, t, y, xi, lam, quad=quad, diagnostics=diag)
     assert val != 0.0
     assert val == ref
+    assert diag == info
+    assert set(diag) == {"n_nodes", "mismatch", "converged", "standard_error"}
+    assert diag["n_nodes"] == 4 * 2**13
+    assert diag["converged"] is False
+    assert diag["mismatch"] == 2.0 * diag["standard_error"] / abs(val) > 1.0
 
 
 def test_quad_policy_node_cap(paper):
@@ -870,15 +878,16 @@ def test_quad_policy_node_cap(paper):
 
 @pytest.mark.parametrize("name, n_nodes, rate_nodes", [
     ("paper-even-d2", 21268, (20, 20, 16)),
-    ("paper-odd-d3", 2048, (20, 20, 16, 23, 25)),
+    ("paper-odd-d3", 32768, (20, 20, 16, 23, 25)),
     ("flat", 13248, (15, 16, 16)),
     ("tilted", 12885, (15, 16, 16)),
 ])
 @pytest.mark.parametrize("density", [3, 9])
 def test_eval_I_node_counts_are_pinned(name, n_nodes, rate_nodes, density):
     # the per-axis phase rates come from the instance's bounds (sup |d_j Phi|
-    # and the graph Lipschitz constant); d = 3 takes two 2^10-point Sobol
-    # scrambles, so its rate-driven counts are pinned on their own
+    # and the graph Lipschitz constant); d = 3 takes four 2^10-point Sobol
+    # scrambles, which this family spreads past agree_tol up to the last
+    # doubling (2^13 each), so its rate-driven counts are pinned on their own
     inst = make_instance(name, grid_density=density)
     fam = random_bump_family(inst, np.random.default_rng(11))
     lam = 100.0

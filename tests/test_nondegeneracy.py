@@ -198,7 +198,8 @@ def test_certify_agrees_with_the_per_direction_scan(name, density):
 
 
 def test_certify_takes_d_determinants_per_point_and_partition(paper, monkeypatch):
-    # the form's d nodes per x, not one matrix per (x, omega) sample
+    # the form's d nodes per x, not one matrix per (x, omega) sample, and
+    # only the partitions with 0 in I: the complement has the same |det|
     import oscsurf.nondegen as nd
     original, rows = nd.bordered_matrix, []
 
@@ -210,7 +211,8 @@ def test_certify_takes_d_determinants_per_point_and_partition(paper, monkeypatch
     monkeypatch.setattr(nd, "bordered_matrix", counted)
     grid = box_grid(paper, 9)
     nd.certify(paper, grid, circle_grid(64))
-    assert rows == [paper.d * len(grid)] * len(all_partitions(paper.d))
+    assert rows == [paper.d * len(grid)] * 3
+    assert len(all_partitions(paper.d)) == 6
 
 
 def _gradient_at_direction(inst, parts, x_grid, w, n_probe=64):
